@@ -127,7 +127,7 @@ proptest! {
             config.refill(&mut budget);
             supplied += config.budget_messages_per_epoch;
             let mut requests: Vec<(usize, u8)> = chunk.to_vec();
-            requests.sort_by(|a, b| b.0.cmp(&a.0));
+            requests.sort_by_key(|&(regime_idx, _)| std::cmp::Reverse(regime_idx));
             for &(regime_idx, count) in &requests {
                 let regime = Regime::ALL[regime_idx];
                 for _ in 0..count {

@@ -692,7 +692,7 @@ impl FleetState {
             }));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version < CHECKPOINT_FORMAT || version > CHECKPOINT_FORMAT_AUTOPILOT {
+        if !(CHECKPOINT_FORMAT..=CHECKPOINT_FORMAT_AUTOPILOT).contains(&version) {
             return Err(FleetError::Corrupt(CorruptKind::UnsupportedVersion {
                 found: version,
             }));

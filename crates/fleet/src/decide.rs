@@ -29,8 +29,6 @@ use agequant_mem::MemoryConfig;
 
 use crate::chip::{Chip, ChipMemState, ChipMode, ChipPlan};
 use crate::sim::FleetConfig;
-use crate::swap::{Swap, SwapReader};
-use crate::table::DecisionTable;
 use crate::FleetError;
 
 /// What the decision core concluded for one chip state.
@@ -119,11 +117,6 @@ pub struct Decider {
     constraint_ps: f64,
     guardband_period_ps: f64,
     memos: Mutex<Memos>,
-    /// The optional materialized decision table, atomically swapped
-    /// on install. `None` until [`Decider::install_table`]; the live
-    /// characterization path never consults it, so installing a table
-    /// cannot change what [`Decider::decide_bucket_at`] answers.
-    table: Swap<Option<DecisionTable>>,
 }
 
 // Server workers share one decider behind an `Arc`; pin the threading
@@ -168,7 +161,6 @@ impl Decider {
             constraint_ps,
             guardband_period_ps,
             memos: Mutex::new(Memos::default()),
-            table: Swap::new(Arc::new(None)),
         })
     }
 
@@ -342,68 +334,6 @@ impl Decider {
         Ok(method)
     }
 
-    /// Publishes a materialized [`DecisionTable`] for this decider's
-    /// read path, atomically replacing any previous table, and
-    /// returns the new table generation. Readers holding a
-    /// [`SwapReader`] pick the new table up on their next read; the
-    /// old table stays alive (and correct) for readers mid-lookup.
-    pub fn install_table(&self, table: DecisionTable) -> u64 {
-        self.table.publish(Arc::new(Some(table)))
-    }
-
-    /// Withdraws any installed table, forcing every decision back to
-    /// the live characterization path. Returns the new generation.
-    pub fn clear_table(&self) -> u64 {
-        self.table.publish(Arc::new(None))
-    }
-
-    /// The installed table's publish count (0 = never installed).
-    #[must_use]
-    pub fn table_generation(&self) -> u64 {
-        self.table.generation()
-    }
-
-    /// A fresh handle on the installed table, if any. Takes the swap
-    /// slot lock — the wire-speed path goes through
-    /// [`Decider::table_reader`] instead.
-    #[must_use]
-    pub fn table(&self) -> Arc<Option<DecisionTable>> {
-        self.table.load()
-    }
-
-    /// A caller-owned lock-free view of the installed table: after
-    /// construction, each [`Decider::lookup_or_decide`] through it is
-    /// a single atomic generation check unless a table was published
-    /// in between.
-    #[must_use]
-    pub fn table_reader(&self) -> SwapReader<Option<DecisionTable>> {
-        SwapReader::new(&self.table)
-    }
-
-    /// The table-first decision: a pure indexed read when `reader`'s
-    /// table materializes the key (`true` in the returned pair), the
-    /// live [`Decider::decide_bucket_at`] path otherwise (`false`).
-    /// Table hits touch no lock and no memo, so they can never
-    /// perturb the characterization record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-degradable flow errors from the live path;
-    /// table hits are infallible.
-    pub fn lookup_or_decide(
-        &self,
-        reader: &mut SwapReader<Option<DecisionTable>>,
-        bucket: u64,
-        constraint_ps: f64,
-    ) -> Result<(Decision, bool), FleetError> {
-        if let Some(table) = reader.get(&self.table).as_ref() {
-            if let Some(decision) = table.lookup(bucket, constraint_ps) {
-                return Ok((decision, true));
-            }
-        }
-        Ok((self.decide_bucket_at(bucket, constraint_ps)?, false))
-    }
-
     /// The memory-aging configuration, when the fleet tracks the
     /// weight-memory axis.
     #[must_use]
@@ -548,47 +478,6 @@ mod tests {
             "degraded chips still track their aging bucket"
         );
         assert!(decision.plan().is_none());
-    }
-
-    #[test]
-    fn table_hits_bypass_the_record_and_misses_fall_back() {
-        let config = FleetConfig::new(2, 7);
-        let decider = Decider::from_config(&config).expect("valid config");
-        let characterizer = Decider::from_config(&config).expect("valid config");
-        let table = crate::DecisionTable::build(&characterizer, 3, &[]).expect("builds");
-
-        assert_eq!(decider.table_generation(), 0);
-        assert!(decider.table().is_none());
-        decider.install_table(table);
-        assert_eq!(decider.table_generation(), 1);
-
-        let mut reader = decider.table_reader();
-        let (hit, served_from_table) = decider
-            .lookup_or_decide(&mut reader, 2, decider.constraint_ps())
-            .expect("decides");
-        assert!(served_from_table);
-        assert_eq!(
-            hit,
-            characterizer.decide_bucket(2).expect("decides"),
-            "table hit is the live decision"
-        );
-        assert!(
-            decider.buckets_planned().is_empty(),
-            "a table hit never characterizes"
-        );
-
-        // Past the table edge: live path, recorded as always.
-        let (_, served_from_table) = decider
-            .lookup_or_decide(&mut reader, 4, decider.constraint_ps())
-            .expect("decides");
-        assert!(!served_from_table);
-        assert_eq!(decider.buckets_planned(), vec![4]);
-
-        decider.clear_table();
-        let (_, served_from_table) = decider
-            .lookup_or_decide(&mut reader, 2, decider.constraint_ps())
-            .expect("decides");
-        assert!(!served_from_table, "cleared table forces the live path");
     }
 
     #[test]

@@ -1215,7 +1215,7 @@ impl FleetSim {
         // merge alone is not shard-count-invariant. Pre-memory
         // journals are already in this order, so the sort is a no-op
         // for them (pinned by the pre-memory fixture test).
-        merged.sort_by(|a, b| (a.epoch, a.chip).cmp(&(b.epoch, b.chip)));
+        merged.sort_by_key(|event| (event.epoch, event.chip));
         merged
     }
 

@@ -6,10 +6,12 @@
 //! bucket of every requested constraint band, characterized through
 //! the live [`Decider`] — into an immutable flat vector, so serving a
 //! decision becomes a pure indexed read: no engine, no memo mutex, no
-//! allocation. The table is published through a [`Swap`] held by the
-//! decider and atomically replaced when the profile or model zoo
-//! changes; lint SV002 pins every entry bit-identical to a fresh
-//! live decision on the same key.
+//! allocation. The decider itself holds no table: a consumer that
+//! serves from one (`agequant-serve` renders each entry into a
+//! response body once) owns it and publishes it through a [`Swap`],
+//! falling back to [`Decider::decide_bucket_at`] when
+//! [`DecisionTable::lookup`] refuses a key. Lint SV002 pins every
+//! entry bit-identical to a fresh live decision on the same key.
 //!
 //! [`Swap`]: crate::Swap
 

@@ -99,9 +99,12 @@ impl MemoryReportPhysical {
         let mut last_plain = 0.0f64;
         for (idx, point) in bank.failure.iter().enumerate() {
             let at = format!("bank {layer}, curve point {idx}");
-            if !(point.years >= 0.0) || point.years <= last_years {
+            // False for a NaN year, as for a negative or infinite one.
+            let aged = point.years.is_finite() && point.years >= 0.0;
+            if !aged || point.years <= last_years {
                 sink.report(format!(
-                    "{at}: years {} after {last_years} (curve must ascend from ≥ 0)",
+                    "{at}: years {} after {last_years} (curve must ascend through finite \
+                     years from 0)",
                     point.years
                 ));
             }
@@ -127,6 +130,11 @@ impl MemoryReportPhysical {
                      cannot make storage worse",
                     point.prob_encoded, point.prob_plain
                 ));
+            }
+            // The cell model is defined at finite, non-negative ages
+            // only; a point outside them is already reported above.
+            if !aged {
+                continue;
             }
             let want_plain = report
                 .cell

@@ -520,6 +520,25 @@ fn me001_fires_on_unphysical_memory_reports() {
     backwards.banks[0].failure.reverse();
     assert!(memory_report_codes(&backwards).contains(&"ME001".to_string()));
 
+    // A curve point whose year is NaN, negative or infinite is a
+    // finding, not a panic in the cell model the lint cross-checks.
+    for years in [f64::NAN, -1.0, f64::INFINITY] {
+        let mut unordered = clean.clone();
+        unordered.banks[0].failure[0].years = years;
+        let diagnostics = Linter::new()
+            .run(&[Artifact::MemoryReport {
+                name: "under-test",
+                report: &unordered,
+            }])
+            .diagnostics;
+        assert!(
+            diagnostics
+                .iter()
+                .any(|d| d.code == "ME001" && d.message.contains("curve must ascend")),
+            "year {years} accepted: {diagnostics:?}"
+        );
+    }
+
     // A tampered probability the report's own cell model disowns.
     let mut tampered = clean.clone();
     tampered.banks[0].failure[0].prob_plain *= 0.5;

@@ -204,7 +204,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit")]
     fn oversized_codes_are_rejected() {
-        BankDuty::from_codes(0, &[0b1000], 3);
+        let _ = BankDuty::from_codes(0, &[0b1000], 3);
     }
 
     #[test]

@@ -40,7 +40,9 @@ pub struct ServeConfig {
     /// Seed of the hosted fleet.
     pub fleet_seed: u64,
     /// Artificial per-job delay, milliseconds — a test/debug knob that
-    /// makes queue saturation and drain timing deterministic.
+    /// makes queue saturation and drain timing deterministic. It delays
+    /// worker jobs only: plan requests the prerendered decision table
+    /// answers on the event loop never wait on it.
     pub debug_delay_ms: u64,
 }
 
@@ -188,8 +190,10 @@ mod tests {
 
     #[test]
     fn config_round_trips_through_json() {
-        let mut config = ServeConfig::default();
-        config.journal = Some("results/serve/journal.jsonl".to_string());
+        let config = ServeConfig {
+            journal: Some("results/serve/journal.jsonl".to_string()),
+            ..ServeConfig::default()
+        };
         let back = ServeConfig::from_json(&config.to_json()).expect("parses");
         assert_eq!(back, config);
     }

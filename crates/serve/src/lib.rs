@@ -45,7 +45,9 @@
 //! table (an atomically swapped
 //! [`DecisionTable`](agequant_fleet::DecisionTable)-backed plan set
 //! whose publish protocol is model-checked): no lock, no queue, no
-//! engine, byte-identical to the live path. Everything else goes to a
+//! engine, byte-identical to the live path. That plan set is the
+//! server's only table; workers answer from it too, and decide live
+//! only what it cannot answer. Everything else goes to a
 //! bounded-queue worker pool built on the `agequant-check` facade
 //! over `std`, so the queue/drain protocol is model-checked under
 //! `--features model`: a full queue answers `503 Retry-After`
@@ -93,7 +95,7 @@ pub use http::{
     eof_error, reason, try_parse, HttpError, Parsed, Request, Response, CONTINUE_BYTES,
     MAX_BODY_BYTES,
 };
-pub use metrics::{Endpoint, Metrics, LATENCY_BUCKETS_S};
+pub use metrics::{series_label, Endpoint, Metrics, LATENCY_BUCKETS_S, ROUTES};
 pub use queue::BoundedQueue;
 pub use server::{plan_response, start, write_checkpoint, ServerHandle};
 

@@ -13,13 +13,17 @@ use agequant_check::sync::atomic::{AtomicU64, Ordering};
 use agequant_core::CacheStats;
 use agequant_fleet::{AutopilotSummary, MemorySummary};
 
-/// Latency histogram upper bounds, seconds. The last implicit bucket
-/// is `+Inf`.
-pub const LATENCY_BUCKETS_S: [f64; 12] = [
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 2.0,
+/// Latency histogram upper bounds, seconds: 1–2.5–5 steps per decade
+/// from 1 µs to 1 s, then 2 s, so a table answer (a few µs on the
+/// event loop) lands in a bucket of its own instead of the first one.
+/// The last implicit bucket is `+Inf`.
+pub const LATENCY_BUCKETS_S: [f64; 20] = [
+    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0.025,
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.0,
 ];
 
-/// The endpoints the server distinguishes in its metrics.
+/// The endpoints the server distinguishes in its metrics: one per
+/// [`ROUTES`] entry, in the same order, then [`Endpoint::Other`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// `POST /v1/plan`
@@ -36,48 +40,53 @@ pub enum Endpoint {
     Shutdown,
     /// `GET /v1/memory/summary`
     MemorySummary,
-    /// Anything else (404s, bad requests, ...).
+    /// `GET /v1/models`
+    Models,
+    /// `GET /healthz`
+    Healthz,
+    /// `GET /v1/autopilot/summary`
+    AutopilotSummary,
+    /// `POST /v1/autopilot/enroll`
+    AutopilotEnroll,
+    /// Anything else (404s, 405s, unparseable requests, ...).
     Other,
 }
 
-impl Endpoint {
-    const ALL: [Endpoint; 8] = [
-        Endpoint::Plan,
-        Endpoint::PlanBatch,
-        Endpoint::Telemetry,
-        Endpoint::Summary,
-        Endpoint::Metrics,
-        Endpoint::Shutdown,
-        Endpoint::MemorySummary,
-        Endpoint::Other,
-    ];
+/// Every route the server answers, as `(method, path, endpoint)`: the
+/// one method the path answers and the endpoint the request is
+/// dispatched to and counted under. The server dispatches through this
+/// list and answers `405` for a listed path under another method; the
+/// metric registry keeps one series per entry, plus `other`.
+pub const ROUTES: [(&str, &str, Endpoint); 11] = [
+    ("POST", "/v1/plan", Endpoint::Plan),
+    ("POST", "/v1/plan/batch", Endpoint::PlanBatch),
+    ("POST", "/v1/telemetry", Endpoint::Telemetry),
+    ("GET", "/v1/fleet/summary", Endpoint::Summary),
+    ("GET", "/metrics", Endpoint::Metrics),
+    ("POST", "/v1/shutdown", Endpoint::Shutdown),
+    ("GET", "/v1/memory/summary", Endpoint::MemorySummary),
+    ("GET", "/v1/models", Endpoint::Models),
+    ("GET", "/healthz", Endpoint::Healthz),
+    ("GET", "/v1/autopilot/summary", Endpoint::AutopilotSummary),
+    ("POST", "/v1/autopilot/enroll", Endpoint::AutopilotEnroll),
+];
 
-    fn index(self) -> usize {
-        match self {
-            Endpoint::Plan => 0,
-            Endpoint::PlanBatch => 1,
-            Endpoint::Telemetry => 2,
-            Endpoint::Summary => 3,
-            Endpoint::Metrics => 4,
-            Endpoint::Shutdown => 5,
-            Endpoint::MemorySummary => 6,
-            Endpoint::Other => 7,
-        }
+// An endpoint's discriminant is its `ROUTES` index — checked at
+// compile time, so the list and the enum cannot drift apart.
+const _: () = {
+    let mut i = 0;
+    while i < ROUTES.len() {
+        assert!(
+            ROUTES[i].2 as usize == i,
+            "ROUTES order must follow Endpoint"
+        );
+        i += 1;
     }
+    assert!(Endpoint::Other as usize == ROUTES.len());
+};
 
-    fn label(self) -> &'static str {
-        match self {
-            Endpoint::Plan => "plan",
-            Endpoint::PlanBatch => "plan_batch",
-            Endpoint::Telemetry => "telemetry",
-            Endpoint::Summary => "fleet_summary",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Shutdown => "shutdown",
-            Endpoint::MemorySummary => "memory_summary",
-            Endpoint::Other => "other",
-        }
-    }
-}
+/// Metric series: one per route, plus `other`.
+const SERIES: usize = ROUTES.len() + 1;
 
 /// Per-endpoint counters: requests by status class plus a latency
 /// histogram.
@@ -85,7 +94,10 @@ impl Endpoint {
 struct EndpointStats {
     /// Status classes 1xx..5xx at indices 0..4.
     by_class: [AtomicU64; 5],
-    /// Cumulative histogram counters, one per bound plus `+Inf`.
+    /// Histogram counters, one per bound plus `+Inf`, each counting
+    /// only its own bucket: one increment per observation however many
+    /// bounds there are. `render` sums them into the cumulative `le`
+    /// series Prometheus expects.
     buckets: [AtomicU64; LATENCY_BUCKETS_S.len() + 1],
     /// Total observed latency, nanoseconds.
     sum_nanos: AtomicU64,
@@ -107,7 +119,7 @@ impl EndpointStats {
 /// The server's metric registry.
 #[derive(Debug)]
 pub struct Metrics {
-    endpoints: [EndpointStats; 8],
+    endpoints: [EndpointStats; SERIES],
     /// Requests answered `503` because the queue was full.
     queue_rejected: AtomicU64,
     /// Requests answered `504` past their deadline.
@@ -124,6 +136,21 @@ pub struct Metrics {
     table_hits: AtomicU64,
     /// Plan decisions that fell through to the live decider path.
     table_misses: AtomicU64,
+}
+
+/// The `endpoint="…"` label of the `i`th metric series, which counts
+/// the [`Endpoint`] whose discriminant is `i`: its route's path
+/// without the leading `/` or `/v1/`, each further `/` as `_`
+/// (`plan_batch`, `fleet_summary`), and `other` past the routes.
+#[must_use]
+pub fn series_label(i: usize) -> String {
+    ROUTES.get(i).map_or_else(
+        || "other".to_string(),
+        |(_, path, _)| {
+            let path = path.strip_prefix("/v1").unwrap_or(path);
+            path[1..].replace('/', "_")
+        },
+    )
 }
 
 /// Smoothing factor for the exported telemetry-residual EWMA.
@@ -192,23 +219,12 @@ impl Metrics {
 
     /// Records one finished request.
     pub fn observe(&self, endpoint: Endpoint, status: u16, elapsed: Duration) {
-        let stats = &self.endpoints[endpoint.index()];
+        let stats = &self.endpoints[endpoint as usize];
         let class = usize::from(status / 100).clamp(1, 5) - 1;
         stats.by_class[class].fetch_add(1, Ordering::Relaxed);
         let secs = elapsed.as_secs_f64();
-        let mut slot = LATENCY_BUCKETS_S.len();
-        for (i, bound) in LATENCY_BUCKETS_S.iter().enumerate() {
-            if secs <= *bound {
-                slot = i;
-                break;
-            }
-        }
-        // Cumulative: an observation increments its bucket and every
-        // wider one, so `le` counters are monotone as Prometheus
-        // expects.
-        for bucket in &stats.buckets[slot..] {
-            bucket.fetch_add(1, Ordering::Relaxed);
-        }
+        let slot = LATENCY_BUCKETS_S.partition_point(|bound| *bound < secs);
+        stats.buckets[slot].fetch_add(1, Ordering::Relaxed);
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         stats.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
         stats.count.fetch_add(1, Ordering::Relaxed);
@@ -279,14 +295,13 @@ impl Metrics {
 
         out.push_str("# HELP agequant_http_requests_total Requests by endpoint and status class\n");
         out.push_str("# TYPE agequant_http_requests_total counter\n");
-        for endpoint in Endpoint::ALL {
-            let stats = &self.endpoints[endpoint.index()];
+        let labels: Vec<String> = (0..SERIES).map(series_label).collect();
+        for (stats, label) in self.endpoints.iter().zip(&labels) {
             for (class, counter) in stats.by_class.iter().enumerate() {
                 let n = counter.load(Ordering::Relaxed);
                 if n > 0 {
                     out.push_str(&format!(
-                        "agequant_http_requests_total{{endpoint=\"{}\",code=\"{}xx\"}} {n}\n",
-                        endpoint.label(),
+                        "agequant_http_requests_total{{endpoint=\"{label}\",code=\"{}xx\"}} {n}\n",
                         class + 1
                     ));
                 }
@@ -295,22 +310,18 @@ impl Metrics {
 
         out.push_str("# HELP agequant_http_request_duration_seconds Request latency by endpoint\n");
         out.push_str("# TYPE agequant_http_request_duration_seconds histogram\n");
-        for endpoint in Endpoint::ALL {
-            let stats = &self.endpoints[endpoint.index()];
+        for (stats, label) in self.endpoints.iter().zip(&labels) {
             if stats.count.load(Ordering::Relaxed) == 0 {
                 continue;
             }
-            let label = endpoint.label();
-            for (i, bound) in LATENCY_BUCKETS_S.iter().enumerate() {
+            let mut cumulative = 0;
+            let bounds = LATENCY_BUCKETS_S.iter().map(|bound| bound.to_string());
+            for (bucket, le) in stats.buckets.iter().zip(bounds.chain(["+Inf".to_string()])) {
+                cumulative += bucket.load(Ordering::Relaxed);
                 out.push_str(&format!(
-                    "agequant_http_request_duration_seconds_bucket{{endpoint=\"{label}\",le=\"{bound}\"}} {}\n",
-                    stats.buckets[i].load(Ordering::Relaxed)
+                    "agequant_http_request_duration_seconds_bucket{{endpoint=\"{label}\",le=\"{le}\"}} {cumulative}\n"
                 ));
             }
-            out.push_str(&format!(
-                "agequant_http_request_duration_seconds_bucket{{endpoint=\"{label}\",le=\"+Inf\"}} {}\n",
-                stats.buckets[LATENCY_BUCKETS_S.len()].load(Ordering::Relaxed)
-            ));
             out.push_str(&format!(
                 "agequant_http_request_duration_seconds_sum{{endpoint=\"{label}\"}} {}\n",
                 stats.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
@@ -491,6 +502,21 @@ mod tests {
         assert!(text.contains("endpoint=\"plan\",code=\"2xx\"} 2"));
         assert!(text.contains("endpoint=\"plan\",code=\"5xx\"} 1"));
         assert!(text.contains("agequant_queue_depth 2"));
+    }
+
+    #[test]
+    fn table_path_latencies_resolve_below_ten_microseconds() {
+        let metrics = Metrics::new();
+        metrics.observe(Endpoint::Plan, 200, Duration::from_micros(8));
+        let text = metrics.render(0, &CacheStats::default(), &BTreeMap::new(), None, None);
+        assert!(
+            text.contains("{endpoint=\"plan\",le=\"0.000005\"} 0\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("{endpoint=\"plan\",le=\"0.00001\"} 1\n"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The concurrent decision server: a wire-speed table plane in front
-//! of a bounded-queue worker pool with explicit backpressure over the
-//! shared [`Decider`].
+//! The concurrent decision server: one prerendered decision-table
+//! plane in front of a bounded-queue worker pool with explicit
+//! backpressure over the shared [`Decider`].
 //!
 //! ## Architecture
 //!
@@ -12,10 +12,11 @@
 //!
 //! Requests are answered at one of three costs:
 //!
-//! 1. **Table hits** — `POST /v1/plan` (and all-table batches) whose
-//!    decision is in the immutable prerendered [`PlanSet`]: answered
-//!    on the event loop from an `Arc<str>` body. No lock, no queue,
-//!    no engine; the plan bytes were rendered once at table build.
+//! 1. **Table answers** — `POST /v1/plan` (and batches whose every
+//!    element the table answers) for a model whose [`PlanSet`] entry
+//!    covers the bucket, plus out-of-range refusals: answered on the
+//!    event loop from an `Arc<str>` body. No lock, no queue, no
+//!    engine; the plan bytes were rendered once at table build.
 //! 2. **Inline reads** — `/metrics`, summaries: answered on the loop,
 //!    reading atomics or taking a short lock.
 //! 3. **Worker jobs** — telemetry, constraint overrides, models not
@@ -27,12 +28,17 @@
 //!    job drops it instead of burning engine time on an abandoned
 //!    reply.
 //!
-//! Table bytes and worker bytes are the same bytes: both render
-//! through [`plan_response`], so a client cannot tell which plane
-//! answered. New per-model tables are published by atomically
-//! swapping the [`PlanSet`] (an `agequant-fleet` [`Swap`], whose
-//! publish/subscribe protocol is model-checked in `agequant-check`'s
-//! `model_table` suite); readers never block on a publish.
+//! The [`PlanSet`] is the only table plane. One function,
+//! `table_answer`, answers a plan request from it, on the loop and on
+//! the workers alike; a worker first materializes the request's model
+//! (which publishes that model's table) and decides live only when the
+//! table still cannot answer. Table bytes and live bytes are the same
+//! bytes: both render through [`plan_response`], so a client cannot
+//! tell which path answered. New per-model tables are published by
+//! atomically swapping the [`PlanSet`] (an `agequant-fleet` [`Swap`],
+//! whose publish/subscribe protocol is model-checked in
+//! `agequant-check`'s `model_table` suite); readers never block on a
+//! publish.
 //!
 //! ## Shutdown
 //!
@@ -53,7 +59,7 @@ use agequant_check::thread::{self, JoinHandle};
 use agequant_aging::{ModelSpec, VthShift};
 use agequant_core::EvalEngine;
 use agequant_fleet::{
-    journal, AutopilotConfig, Decider, Decision, DecisionTable, FleetConfig, FleetSim, Swap,
+    journal, AutopilotConfig, Chip, Decider, Decision, DecisionTable, FleetConfig, FleetSim, Swap,
     SwapReader,
 };
 use serde::{Deserialize, Value};
@@ -61,7 +67,7 @@ use serde::{Deserialize, Value};
 use crate::config::ServeConfig;
 use crate::event_loop::{self, Completion, LoopShared, Token};
 use crate::http::{Request, Response};
-use crate::metrics::{Endpoint, Metrics};
+use crate::metrics::{Endpoint, Metrics, ROUTES};
 use crate::queue::BoundedQueue;
 use crate::ServeError;
 
@@ -132,34 +138,34 @@ struct FleetHost {
 /// Prerendered `/v1/plan` response bodies for one model: index by
 /// bucket, answer with an `Arc<str>` clone — the wire-speed path.
 pub(crate) struct RenderedPlans {
-    /// The decider whose grid maps ΔVth onto body indices (and whose
-    /// decisions the bodies render).
-    decider: Arc<Decider>,
+    /// The bucket grid pitch mapping ΔVth onto body indices, mV.
+    bucket_mv: f64,
     bodies: Vec<Arc<str>>,
 }
 
 impl RenderedPlans {
-    /// Renders every bucket of `table` through [`plan_response`] on
-    /// `decider` — the same function the worker path uses, which is
-    /// what makes a table hit bit-identical to a live decision.
-    /// `None` if the table is missing a served bucket (cannot happen
-    /// for a [`DecisionTable::build`] product over the served range).
-    fn render(decider: &Arc<Decider>, table: &DecisionTable) -> Option<Self> {
-        let constraint = decider.constraint_ps();
-        let mut bodies = Vec::with_capacity(table.max_bucket() as usize + 1);
-        for bucket in 0..=table.max_bucket() {
-            let decision = table.lookup(bucket, constraint)?;
-            let body = render_value(&plan_response(decider, &decision));
-            bodies.push(Arc::from(body.into_boxed_str()));
-        }
+    /// Materializes `decider`'s decision table over the served range
+    /// `0..=max_mv` and renders every bucket through [`plan_response`]
+    /// — the same function a live decision renders through, which is
+    /// what makes a table answer bit-identical to it. `None` if
+    /// characterization fails.
+    fn build(decider: &Decider, max_mv: f64) -> Option<Self> {
+        let max_bucket = decider.bucket_of(VthShift::from_millivolts(max_mv + 1e-9));
+        let table = DecisionTable::build(decider, max_bucket, &[]).ok()?;
+        let bodies = (0..=max_bucket)
+            .map(|bucket| {
+                let decision = table.lookup(bucket, decider.constraint_ps())?;
+                Some(Arc::from(render_value(&plan_response(decider, &decision))))
+            })
+            .collect::<Option<_>>()?;
         Some(RenderedPlans {
-            decider: Arc::clone(decider),
+            bucket_mv: table.bucket_mv(),
             bodies,
         })
     }
 
     fn body_for(&self, mv: f64) -> Option<&Arc<str>> {
-        let bucket = self.decider.bucket_of(VthShift::from_millivolts(mv));
+        let bucket = Chip::bucket_of(VthShift::from_millivolts(mv), self.bucket_mv);
         usize::try_from(bucket)
             .ok()
             .and_then(|b| self.bodies.get(b))
@@ -185,26 +191,23 @@ pub(crate) enum Routed {
 /// A response the event loop can write without a worker.
 pub(crate) enum Reply {
     Full(Response),
-    /// A prerendered table body: the head is rendered per-connection
+    /// A table-plane plan answer: the head is rendered per-connection
     /// (keep-alive differs), the body bytes are shared.
-    Table {
-        status: u16,
-        body: Arc<str>,
-    },
+    Table(PlanAnswer),
 }
 
 impl Reply {
     pub(crate) fn status(&self) -> u16 {
         match self {
             Reply::Full(response) => response.status,
-            Reply::Table { status, .. } => *status,
+            Reply::Table((status, _)) => *status,
         }
     }
 
     pub(crate) fn render(&self, out: &mut Vec<u8>, keep_alive: bool) {
         match self {
             Reply::Full(response) => response.render_to(out, keep_alive),
-            Reply::Table { status, body } => {
+            Reply::Table((status, body)) => {
                 Response::render_head(
                     out,
                     *status,
@@ -234,12 +237,9 @@ pub(crate) struct Shared {
     fleet: Mutex<FleetHost>,
     pub(crate) metrics: Metrics,
     queue: BoundedQueue<Job>,
-    /// The swap cell behind every event loop's table reader.
+    /// The swap cell behind every event loop's and worker's table
+    /// reader.
     plans: Swap<PlanSet>,
-    /// Table answers allowed? Off when `debug_delay_ms` is set: that
-    /// knob exists to simulate slow decisions, and a table hit would
-    /// skip the queue the delay is meant to exercise.
-    fast_path: bool,
     pub(crate) loops: Vec<Arc<LoopShared>>,
     pub(crate) next_loop: AtomicUsize,
     shutdown: AtomicBool,
@@ -316,12 +316,6 @@ impl ServerHandle {
     }
 }
 
-/// The largest bucket any in-range `/v1/plan` request can map to —
-/// the decision tables cover exactly the served ΔVth range.
-fn max_served_bucket(config: &ServeConfig, decider: &Decider) -> u64 {
-    decider.bucket_of(VthShift::from_millivolts(config.max_mv + 1e-9))
-}
-
 /// Event loops to run: `AGEQUANT_SERVE_LOOPS` (1–64), default 1 —
 /// one loop saturates a small core count; more shard the fd set.
 fn loop_threads() -> usize {
@@ -376,14 +370,11 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
     // keep reflecting exactly the fleet warm-up plus live traffic.
     let default_key = decider.flow().model_key().to_string();
     let mut by_model = BTreeMap::new();
-    if let Ok(scratch) = Decider::from_config(&fleet_config) {
-        if let Ok(table) = DecisionTable::build(&scratch, max_served_bucket(&config, &decider), &[])
-        {
-            decider.install_table(table.clone());
-            if let Some(rendered) = RenderedPlans::render(&decider, &table) {
-                by_model.insert(default_key.clone(), Arc::new(rendered));
-            }
-        }
+    let scratch = Decider::from_config(&fleet_config).ok();
+    if let Some(rendered) =
+        scratch.and_then(|scratch| RenderedPlans::build(&scratch, config.max_mv))
+    {
+        by_model.insert(default_key.clone(), Arc::new(rendered));
     }
     let plans = Swap::new(Arc::new(PlanSet {
         default_key,
@@ -401,7 +392,6 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
 
     let shared = Arc::new(Shared {
         queue: BoundedQueue::new(config.queue_depth as usize),
-        fast_path: config.debug_delay_ms == 0,
         config,
         addr,
         decider,
@@ -460,82 +450,108 @@ fn initiate_shutdown(shared: &Shared) {
     }
 }
 
-// ------------------------------------------------------------- fast paths
+// ------------------------------------------------------------ plan answers
 
-/// The wire-speed single-plan path: answers from the prerendered
-/// table without touching a lock, the queue, or the engine. `None`
-/// falls through to the worker path (constraint overrides, models
-/// without a materialized table, or the fast path disabled).
-fn fast_plan(
+/// One plan answer: HTTP status and JSON body. Table bodies are shared
+/// `Arc<str>`s; refusals and live decisions are rendered fresh.
+pub(crate) type PlanAnswer = (u16, Arc<str>);
+
+/// Answers a plan request from the prerendered table, if it can: a
+/// `400` for a ΔVth outside the served range, the model's table body
+/// when its table covers the bucket, otherwise `None` (a constraint
+/// override, or a model whose table is not materialized yet). The
+/// event loop and the workers both answer through this one function.
+fn table_answer(shared: &Shared, set: &PlanSet, request: &PlanRequest) -> Option<PlanAnswer> {
+    let mv = request.delta_vth_mv;
+    if !served_range(shared, mv) {
+        return Some((400, error_body(&range_message(shared, mv)).into()));
+    }
+    if request.constraint_factor.is_some() {
+        return None;
+    }
+    let key = request.model.as_deref().unwrap_or(&set.default_key);
+    let body = set.by_model.get(key)?.body_for(mv)?;
+    Some((200, Arc::clone(body)))
+}
+
+/// Counts a [`table_answer`] in the hit counter: its `200`s are table
+/// bodies, its `400`s are range refusals and count as neither hit nor
+/// miss.
+fn count_table_answer(shared: &Shared, (status, _): &PlanAnswer) {
+    if *status == 200 {
+        shared.metrics.record_table_hits(1);
+    }
+}
+
+/// Answers a plan request on a worker: from the table when it covers
+/// the request — materializing the model first, which publishes its
+/// table — and otherwise live through
+/// [`Decider::decide_bucket_at`], counted as one table miss.
+fn worker_answer(
     shared: &Shared,
     plans: &mut SwapReader<PlanSet>,
     request: &PlanRequest,
-) -> Option<Reply> {
-    if !shared.fast_path || request.constraint_factor.is_some() {
-        return None;
+) -> PlanAnswer {
+    let from_table = |plans: &mut SwapReader<PlanSet>| {
+        let answer = table_answer(shared, plans.get(&shared.plans), request)?;
+        count_table_answer(shared, &answer);
+        Some(answer)
+    };
+    if let Some(answer) = from_table(plans) {
+        return answer;
     }
-    let set = plans.get(&shared.plans);
-    let key = request.model.as_deref().unwrap_or(&set.default_key);
-    let rendered = set.by_model.get(key)?;
-    let mv = request.delta_vth_mv;
-    if !served_range(shared, mv) {
-        // Validation is part of the fast path — a request that never
-        // touches the engine shouldn't queue just to be refused.
-        return Some(Reply::Full(Response::json(
-            400,
-            error_body(&range_message(shared, mv)),
-        )));
+    let decider = match decider_for(shared, request.model.as_deref()) {
+        Ok(decider) => decider,
+        Err(refusal) => return refusal,
+    };
+    if let Some(answer) = from_table(plans) {
+        return answer;
     }
-    let body = Arc::clone(rendered.body_for(mv)?);
-    shared.metrics.record_table_hits(1);
-    Some(Reply::Table { status: 200, body })
+    let constraint_ps = match request.constraint_factor {
+        None => decider.constraint_ps(),
+        Some(factor) if factor > 0.0 && factor.is_finite() => {
+            decider.flow().fresh_critical_path_ps() * factor
+        }
+        Some(factor) => {
+            let message = format!("constraint_factor {factor} must be positive");
+            return (400, error_body(&message).into());
+        }
+    };
+    shared.metrics.record_table_misses(1);
+    let bucket = decider.bucket_of(VthShift::from_millivolts(request.delta_vth_mv));
+    match decider.decide_bucket_at(bucket, constraint_ps) {
+        Ok(decision) => (
+            200,
+            render_value(&plan_response(&decider, &decision)).into(),
+        ),
+        Err(e) => (500, error_body(&e.to_string()).into()),
+    }
 }
 
-/// The wire-speed batch path: every element must be answerable from
-/// the prerendered tables (validation included); one element needing
-/// live work sends the whole batch to the workers unchanged.
-fn fast_batch(
-    shared: &Shared,
-    plans: &mut SwapReader<PlanSet>,
-    requests: &[PlanRequest],
-) -> Option<Reply> {
-    if !shared.fast_path {
-        return None;
-    }
-    let set = Arc::clone(plans.get(&shared.plans));
-    let mut out = String::with_capacity(16 + requests.len() * 192);
+/// The `POST /v1/plan/batch` response, `{"results":[{"status":S,"body":B},…]}`:
+/// each element under its own status, each body the exact bytes its
+/// single call answers, so one bad element cannot fail the rest. The
+/// batch itself always answers `200`.
+fn batch_response(answers: &[PlanAnswer]) -> Response {
+    use std::fmt::Write;
+    let mut out = String::with_capacity(16 + answers.len() * 192);
     out.push_str("{\"results\":[");
-    for (i, request) in requests.iter().enumerate() {
-        if request.constraint_factor.is_some() {
-            return None;
-        }
-        let key = request.model.as_deref().unwrap_or(&set.default_key);
-        let rendered = set.by_model.get(key)?;
+    for (i, (status, body)) in answers.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let mv = request.delta_vth_mv;
-        if served_range(shared, mv) {
-            let body = rendered.body_for(mv)?;
-            out.push_str("{\"status\":200,\"body\":");
-            out.push_str(body);
-        } else {
-            out.push_str("{\"status\":400,\"body\":");
-            out.push_str(&error_body(&range_message(shared, mv)));
-        }
-        out.push('}');
+        let _ = write!(out, "{{\"status\":{status},\"body\":{body}}}");
     }
     out.push_str("]}");
-    shared.metrics.record_table_hits(requests.len() as u64);
-    Some(Reply::Full(Response::json(200, out)))
+    Response::json(200, out)
 }
 
 fn served_range(shared: &Shared, mv: f64) -> bool {
     mv.is_finite() && (0.0..=shared.config.max_mv + 1e-9).contains(&mv)
 }
 
-/// The out-of-range refusal — one format string, so the fast path,
-/// the worker path, and batch elements emit identical bytes.
+/// The out-of-range refusal — one format string, so single calls and
+/// batch elements emit identical bytes.
 fn range_message(shared: &Shared, mv: f64) -> String {
     format!(
         "delta_vth_mv {mv} outside the served range 0–{} mV",
@@ -545,16 +561,26 @@ fn range_message(shared: &Shared, mv: f64) -> String {
 
 // --------------------------------------------------------------- routing
 
-/// Dispatches one request. Table hits and read endpoints answer on
-/// the event loop; decision endpoints go through the bounded queue.
+/// Dispatches one request through [`ROUTES`]. Table answers and read
+/// endpoints answer on the event loop; decision endpoints go through
+/// the bounded queue. A listed path under another method answers
+/// `405`, an unlisted one `404`; both count under [`Endpoint::Other`].
 pub(crate) fn route(
     shared: &Arc<Shared>,
     request: &Request,
     token: Token,
     plans: &mut SwapReader<PlanSet>,
 ) -> (Endpoint, Routed) {
-    match (request.method.as_str(), request.target.as_str()) {
-        ("GET", "/metrics") => {
+    let endpoint = match ROUTES.iter().find(|(_, path, _)| *path == request.target) {
+        Some((method, ..)) if *method != request.method => {
+            let response = Response::json(405, error_body("method not allowed"));
+            return (Endpoint::Other, ready(response));
+        }
+        Some((_, _, endpoint)) => *endpoint,
+        None => Endpoint::Other,
+    };
+    let routed = match endpoint {
+        Endpoint::Metrics => {
             let stats = shared.engine.stats();
             let by_model = shared.engine.stats_by_model();
             // The memory and autopilot rollups need the fleet summary;
@@ -577,27 +603,16 @@ pub(crate) fn route(
                 memory.as_ref(),
                 autopilot.as_ref(),
             );
-            (
-                Endpoint::Metrics,
-                ready(
-                    Response::text(200, text).with_header("cache-control", "no-store".to_string()),
-                ),
-            )
+            ready(Response::text(200, text).with_header("cache-control", "no-store".to_string()))
         }
-        ("GET", "/v1/models") => (Endpoint::Other, ready(models_response(shared))),
-        ("GET", "/v1/fleet/summary") => {
+        Endpoint::Models => ready(models_response(shared)),
+        Endpoint::Summary => {
             let host = shared.fleet.lock().expect("unpoisoned fleet");
-            let body = host.sim.summary().to_json();
-            (Endpoint::Summary, ready(Response::json(200, body)))
+            ready(Response::json(200, host.sim.summary().to_json()))
         }
-        ("GET", "/v1/memory/summary") => (
-            Endpoint::MemorySummary,
-            ready(memory_summary_response(shared)),
-        ),
-        ("GET", "/v1/autopilot/summary") => {
-            (Endpoint::Other, ready(autopilot_summary_response(shared)))
-        }
-        ("POST", "/v1/autopilot/enroll") => {
+        Endpoint::MemorySummary => ready(memory_summary_response(shared)),
+        Endpoint::AutopilotSummary => ready(autopilot_summary_response(shared)),
+        Endpoint::AutopilotEnroll => {
             let parsed = if request.body.is_empty() {
                 Ok(EnrollRequest {
                     budget_messages_per_epoch: None,
@@ -606,84 +621,61 @@ pub(crate) fn route(
             } else {
                 parse_body::<EnrollRequest>(&request.body)
             };
-            match parsed {
-                Ok(body) => (Endpoint::Other, ready(handle_enroll(shared, &body))),
-                Err(response) => (Endpoint::Other, ready(response)),
-            }
+            ready(match parsed {
+                Ok(body) => handle_enroll(shared, &body),
+                Err(response) => response,
+            })
         }
-        ("GET", "/healthz") => (
-            Endpoint::Other,
-            ready(Response::text(200, "ok\n".to_string())),
-        ),
-        ("POST", "/v1/shutdown") => {
+        Endpoint::Healthz => ready(Response::text(200, "ok\n".to_string())),
+        Endpoint::Shutdown => {
             initiate_shutdown(shared);
-            (
-                Endpoint::Shutdown,
-                ready(Response::json(200, "{\"draining\":true}".to_string())),
-            )
+            ready(Response::json(200, "{\"draining\":true}".to_string()))
         }
-        ("POST", "/v1/plan") => match parse_body::<PlanRequest>(&request.body) {
-            Ok(body) => {
-                if let Some(reply) = fast_plan(shared, plans, &body) {
-                    (Endpoint::Plan, Routed::Ready(reply))
-                } else {
-                    (Endpoint::Plan, enqueue(shared, ApiCall::Plan(body), token))
+        Endpoint::Plan => match parse_body::<PlanRequest>(&request.body) {
+            Ok(body) => match table_answer(shared, plans.get(&shared.plans), &body) {
+                Some(answer) => {
+                    count_table_answer(shared, &answer);
+                    Routed::Ready(Reply::Table(answer))
                 }
-            }
-            Err(response) => (Endpoint::Plan, ready(response)),
+                None => enqueue(shared, ApiCall::Plan(body), token),
+            },
+            Err(response) => ready(response),
         },
-        ("POST", "/v1/plan/batch") => match parse_body::<Vec<PlanRequest>>(&request.body) {
-            Ok(body) if body.len() > MAX_BATCH => (
-                Endpoint::PlanBatch,
-                ready(Response::json(
-                    400,
-                    error_body(&format!(
-                        "batch of {} exceeds the {MAX_BATCH}-element limit",
-                        body.len()
-                    )),
+        Endpoint::PlanBatch => match parse_body::<Vec<PlanRequest>>(&request.body) {
+            Ok(body) if body.len() > MAX_BATCH => ready(Response::json(
+                400,
+                error_body(&format!(
+                    "batch of {} exceeds the {MAX_BATCH}-element limit",
+                    body.len()
                 )),
-            ),
+            )),
             Ok(body) => {
-                if let Some(reply) = fast_batch(shared, plans, &body) {
-                    (Endpoint::PlanBatch, Routed::Ready(reply))
-                } else {
-                    (
-                        Endpoint::PlanBatch,
-                        enqueue(shared, ApiCall::PlanBatch(body), token),
-                    )
+                // All or nothing: one element needing live work sends
+                // the whole batch to the workers unchanged.
+                let set = plans.get(&shared.plans);
+                let answers: Option<Vec<PlanAnswer>> = body
+                    .iter()
+                    .map(|request| table_answer(shared, set, request))
+                    .collect();
+                match answers {
+                    Some(answers) => {
+                        for answer in &answers {
+                            count_table_answer(shared, answer);
+                        }
+                        ready(batch_response(&answers))
+                    }
+                    None => enqueue(shared, ApiCall::PlanBatch(body), token),
                 }
             }
-            Err(response) => (Endpoint::PlanBatch, ready(response)),
+            Err(response) => ready(response),
         },
-        ("POST", "/v1/telemetry") => match parse_body::<TelemetryRequest>(&request.body) {
-            Ok(body) => (
-                Endpoint::Telemetry,
-                enqueue(shared, ApiCall::Telemetry(body), token),
-            ),
-            Err(response) => (Endpoint::Telemetry, ready(response)),
+        Endpoint::Telemetry => match parse_body::<TelemetryRequest>(&request.body) {
+            Ok(body) => enqueue(shared, ApiCall::Telemetry(body), token),
+            Err(response) => ready(response),
         },
-        (
-            _,
-            "/metrics"
-            | "/v1/fleet/summary"
-            | "/v1/memory/summary"
-            | "/v1/autopilot/summary"
-            | "/v1/autopilot/enroll"
-            | "/healthz"
-            | "/v1/shutdown"
-            | "/v1/plan"
-            | "/v1/plan/batch"
-            | "/v1/telemetry"
-            | "/v1/models",
-        ) => (
-            Endpoint::Other,
-            ready(Response::json(405, error_body("method not allowed"))),
-        ),
-        _ => (
-            Endpoint::Other,
-            ready(Response::json(404, error_body("no such endpoint"))),
-        ),
-    }
+        Endpoint::Other => ready(Response::json(404, error_body("no such endpoint"))),
+    };
+    (endpoint, routed)
 }
 
 fn ready(response: Response) -> Routed {
@@ -722,6 +714,7 @@ fn enqueue(shared: &Shared, call: ApiCall, token: Token) -> Routed {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
+    let mut plans = shared.plans_reader();
     while let Some(job) = shared.queue.pop() {
         if Instant::now() >= job.deadline {
             // The loop's deadline sweep already answered 504 (or is
@@ -739,8 +732,17 @@ fn worker_loop(shared: &Arc<Shared>) {
             thread::sleep(Duration::from_millis(shared.config.debug_delay_ms));
         }
         let response = match job.call {
-            ApiCall::Plan(request) => handle_plan(shared, &request),
-            ApiCall::PlanBatch(requests) => handle_plan_batch(shared, &requests),
+            ApiCall::Plan(request) => {
+                let (status, body) = worker_answer(shared, &mut plans, &request);
+                Response::json(status, body.to_string())
+            }
+            ApiCall::PlanBatch(requests) => {
+                let answers: Vec<PlanAnswer> = requests
+                    .iter()
+                    .map(|request| worker_answer(shared, &mut plans, request))
+                    .collect();
+                batch_response(&answers)
+            }
             ApiCall::Telemetry(request) => handle_telemetry(shared, &request),
         };
         deliver(shared, job.token, response);
@@ -796,8 +798,9 @@ fn models_response(shared: &Shared) -> Response {
 /// for `model: null`, else a per-model decider built lazily on the
 /// shared engine. Building a model also materializes its decision
 /// table and publishes its prerendered plan bodies, so only a model's
-/// *first* request pays for live characterization.
-fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, (u16, Value)> {
+/// *first* request pays for live characterization. An unknown model
+/// is refused with the answer its request gets.
+fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, PlanAnswer> {
     let Some(name) = model else {
         return Ok(Arc::clone(&shared.decider));
     };
@@ -813,29 +816,23 @@ fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, (u1
         return Ok(Arc::clone(decider));
     }
     let Some(spec) = ModelSpec::by_name(name) else {
-        return Err((
-            400,
-            error_value(&format!(
-                "unknown model {name:?}; options: {}",
-                ModelSpec::NAMES.join(", ")
-            )),
-        ));
+        let message = format!(
+            "unknown model {name:?}; options: {}",
+            ModelSpec::NAMES.join(", ")
+        );
+        return Err((400, error_body(&message).into()));
     };
     let mut config = shared.decider.config().clone();
     config.flow.model = Some(spec);
     let decider = match Decider::with_engine(&config, Arc::clone(&shared.engine)) {
         Ok(decider) => Arc::new(decider),
-        Err(e) => return Err((500, error_value(&e.to_string()))),
+        Err(e) => return Err((500, error_body(&e.to_string()).into())),
     };
     // Materialize the model's decision table through the decider
     // itself: the characterizations land in the shared engine's
     // model-keyed cache counters exactly like live traffic would, and
     // every later request for this model is a pure table read.
-    if let Ok(table) =
-        DecisionTable::build(&decider, max_served_bucket(&shared.config, &decider), &[])
-    {
-        decider.install_table(table);
-    }
+    let rendered = RenderedPlans::build(&decider, shared.config.max_mv);
     let mut deciders = shared
         .model_deciders
         .write()
@@ -846,21 +843,14 @@ fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, (u1
     // Publish the prerendered bodies while still holding the write
     // lock: it serializes publishes, so two models materializing at
     // once cannot drop each other's tables from the set.
-    if shared.fast_path {
-        let current = shared.plans.load();
-        if !current.by_model.contains_key(name) {
-            let installed = decider.table();
-            if let Some(table) = installed.as_ref() {
-                if let Some(rendered) = RenderedPlans::render(&decider, table) {
-                    let mut by_model = current.by_model.clone();
-                    by_model.insert(name.to_string(), Arc::new(rendered));
-                    shared.plans.publish(Arc::new(PlanSet {
-                        default_key: current.default_key.clone(),
-                        by_model,
-                    }));
-                }
-            }
-        }
+    let current = shared.plans.load();
+    if let Some(rendered) = rendered.filter(|_| !current.by_model.contains_key(name)) {
+        let mut by_model = current.by_model.clone();
+        by_model.insert(name.to_string(), Arc::new(rendered));
+        shared.plans.publish(Arc::new(PlanSet {
+            default_key: current.default_key.clone(),
+            by_model,
+        }));
     }
     drop(deciders);
     Ok(decider)
@@ -895,85 +885,6 @@ fn memory_summary_response(shared: &Shared) -> Response {
             ),
             ("fleet", fleet.to_value()),
         ])),
-    )
-}
-
-/// One plan decision as `(status, body value)`. Both `POST /v1/plan`
-/// and every `POST /v1/plan/batch` element go through this one
-/// function, which is what makes a batch element bit-identical to the
-/// single call: the same `Value` tree renders in both places. The
-/// decision itself prefers the model's table (counted as a table hit)
-/// and falls back to a live engine decision on a miss.
-fn plan_value(shared: &Shared, request: &PlanRequest) -> (u16, Value) {
-    let mv = request.delta_vth_mv;
-    if !served_range(shared, mv) {
-        return (400, error_value(&range_message(shared, mv)));
-    }
-    let decider = match decider_for(shared, request.model.as_deref()) {
-        Ok(decider) => decider,
-        Err(err) => return err,
-    };
-    let shift = VthShift::from_millivolts(mv);
-    let decision = match request.constraint_factor {
-        None => {
-            let mut reader = decider.table_reader();
-            match decider.lookup_or_decide(
-                &mut reader,
-                decider.bucket_of(shift),
-                decider.constraint_ps(),
-            ) {
-                Ok((decision, true)) => {
-                    shared.metrics.record_table_hits(1);
-                    Ok(decision)
-                }
-                Ok((decision, false)) => {
-                    shared.metrics.record_table_misses(1);
-                    Ok(decision)
-                }
-                Err(e) => Err(e),
-            }
-        }
-        Some(factor) => {
-            if !(factor > 0.0 && factor.is_finite()) {
-                return (
-                    400,
-                    error_value(&format!("constraint_factor {factor} must be positive")),
-                );
-            }
-            let constraint_ps = decider.flow().fresh_critical_path_ps() * factor;
-            shared.metrics.record_table_misses(1);
-            decider.decide_bucket_at(decider.bucket_of(shift), constraint_ps)
-        }
-    };
-    match decision {
-        Ok(decision) => (200, plan_response(&decider, &decision)),
-        Err(e) => (500, error_value(&e.to_string())),
-    }
-}
-
-fn handle_plan(shared: &Shared, request: &PlanRequest) -> Response {
-    let (status, value) = plan_value(shared, request);
-    Response::json(status, render_value(&value))
-}
-
-/// `POST /v1/plan/batch`: each element is decided independently and
-/// reported with its own status, so one bad element cannot fail the
-/// rest of the batch. The batch always answers `200`; per-element
-/// errors live inside `results`.
-fn handle_plan_batch(shared: &Shared, requests: &[PlanRequest]) -> Response {
-    let results: Vec<Value> = requests
-        .iter()
-        .map(|request| {
-            let (status, body) = plan_value(shared, request);
-            obj(vec![
-                ("status", Value::UInt(u64::from(status))),
-                ("body", body),
-            ])
-        })
-        .collect();
-    Response::json(
-        200,
-        render_value(&obj(vec![("results", Value::Seq(results))])),
     )
 }
 
@@ -1197,14 +1108,9 @@ fn render_value(value: &Value) -> String {
     serde_json::to_string(value).expect("response values are finite")
 }
 
-/// An error body as a value tree, for embedding in batch results.
-fn error_value(message: &str) -> Value {
-    obj(vec![("error", Value::Str(message.to_string()))])
-}
-
 /// Serializes an error body.
 pub(crate) fn error_body(message: &str) -> String {
-    render_value(&error_value(message))
+    render_value(&obj(vec![("error", Value::Str(message.to_string()))]))
 }
 
 /// The `/v1/plan` response for a decision — public so the integration

@@ -178,6 +178,63 @@ fn table_misses_are_counted_for_live_path_requests() {
     handle.shutdown_and_join();
 }
 
+/// A batch counts exactly what its single calls count — a table body
+/// is one hit, an out-of-range refusal neither a hit nor a miss, a
+/// constraint override one miss — whether the event loop answers it
+/// from the table or a worker answers it, and the worker's bytes stay
+/// those of the single calls.
+#[test]
+fn batch_table_counters_match_single_calls() {
+    let handle = start(test_config(8), FleetConfig::new(8, 7)).expect("start");
+    let addr = addr_of(&handle);
+    let counters = || {
+        let (_, _, metrics) = request(&addr, "GET", "/metrics", None);
+        let hits = metric_value(&metrics, "agequant_serve_table_hits_total").expect("hits");
+        let misses = metric_value(&metrics, "agequant_serve_table_misses_total").expect("misses");
+        (hits, misses)
+    };
+    let batch_deltas = |elements: &[&str]| {
+        let before = counters();
+        let batch = format!("[{}]", elements.join(","));
+        let (status, _, body) = request(&addr, "POST", "/v1/plan/batch", Some(&batch));
+        assert_eq!(status, 200, "{body}");
+        let after = counters();
+        ((after.0 - before.0, after.1 - before.1), body)
+    };
+
+    // All table-answerable: the loop answers, one hit, no miss.
+    let (deltas, _) = batch_deltas(&["{\"delta_vth_mv\":10}", "{\"delta_vth_mv\":400}"]);
+    assert_eq!(
+        deltas,
+        (1.0, 0.0),
+        "(hits, misses) for a covered + out-of-range batch"
+    );
+
+    // One override sends the whole batch to a worker.
+    let elements = [
+        "{\"delta_vth_mv\":10}",
+        "{\"delta_vth_mv\":400}",
+        "{\"delta_vth_mv\":10,\"constraint_factor\":1.1}",
+    ];
+    let (deltas, body) = batch_deltas(&elements);
+    assert_eq!(
+        deltas,
+        (1.0, 1.0),
+        "(hits, misses) for a worker-answered batch"
+    );
+    let mut expected = String::from("{\"results\":[");
+    for (i, element) in elements.iter().enumerate() {
+        let (status, _, single) = request(&addr, "POST", "/v1/plan", Some(element));
+        if i > 0 {
+            expected.push(',');
+        }
+        expected.push_str(&format!("{{\"status\":{status},\"body\":{single}}}"));
+    }
+    expected.push_str("]}");
+    assert_eq!(body, expected, "worker batch diverged from single calls");
+    handle.shutdown_and_join();
+}
+
 /// The loop's central sweep closes idle keep-alive connections after
 /// `keep_alive_secs` — the regression test for idle bookkeeping now
 /// living in one place instead of per-connection threads.

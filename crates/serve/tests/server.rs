@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use agequant_aging::{VthShift, AGING_SWEEP_MV};
 use agequant_fleet::{Decider, FleetConfig};
-use agequant_serve::{plan_response, start, ServeConfig, ServerHandle};
+use agequant_serve::{
+    plan_response, series_label, start, Endpoint, ServeConfig, ServerHandle, ROUTES,
+};
 
 /// A minimal blocking HTTP/1.1 client: one request per connection.
 fn request(
@@ -228,10 +230,56 @@ fn plan_validates_its_input() {
     handle.shutdown_and_join();
 }
 
+/// Walks the route table: every listed path answers `405` under
+/// another method (counted as `other`), and its own method shows up
+/// under its own metric label.
+#[test]
+fn every_route_answers_its_method_under_its_own_label() {
+    let labels: Vec<String> = (0..=ROUTES.len()).map(series_label).collect();
+    assert_eq!(
+        labels.join(" "),
+        "plan plan_batch telemetry fleet_summary metrics shutdown memory_summary models \
+         healthz autopilot_summary autopilot_enroll other"
+    );
+    let handle = start(test_config(4), FleetConfig::new(4, 7)).expect("start");
+    let addr = addr_of(&handle);
+    for (method, path, _) in ROUTES {
+        let wrong = if method == "GET" { "POST" } else { "GET" };
+        let (status, _, body) = request(&addr, wrong, path, None);
+        assert_eq!(status, 405, "{wrong} {path}: {body}");
+    }
+    // Shutdown drains the server, so it goes last.
+    let live = || ROUTES.iter().filter(|route| route.2 != Endpoint::Shutdown);
+    for (method, path, _) in live() {
+        request(&addr, method, path, None);
+    }
+    let (_, _, metrics) = request(&addr, "GET", "/metrics", None);
+    for (_, path, endpoint) in live() {
+        let label = series_label(*endpoint as usize);
+        let series = format!("agequant_http_requests_total{{endpoint=\"{label}\",");
+        assert!(
+            metrics.contains(&series),
+            "{path} not under {label}: {metrics}"
+        );
+    }
+    let other_4xx = format!(
+        "agequant_http_requests_total{{endpoint=\"other\",code=\"4xx\"}} {}\n",
+        ROUTES.len()
+    );
+    assert!(metrics.contains(&other_4xx), "{metrics}");
+    let (status, _, body) = request(&addr, "POST", "/v1/shutdown", None);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("draining"), "{body}");
+    let mut handle = handle;
+    handle.join();
+}
+
 #[test]
 fn saturated_queue_returns_503_with_retry_after() {
     // One slow worker, a queue of one: concurrent requests MUST
-    // overflow, and overflow must be a fast 503, not a hang.
+    // overflow, and overflow must be a fast 503, not a hang. The
+    // constraint override keeps the requests off the decision table,
+    // so every one of them needs the queue.
     let config = ServeConfig {
         workers: 1,
         queue_depth: 1,
@@ -246,8 +294,8 @@ fn saturated_queue_returns_503_with_retry_after() {
         .map(|_| {
             let addr = addr.clone();
             std::thread::spawn(move || {
-                let (status, headers, _) =
-                    request(&addr, "POST", "/v1/plan", Some("{\"delta_vth_mv\": 10.0}"));
+                let body = "{\"delta_vth_mv\": 10.0, \"constraint_factor\": 1.1}";
+                let (status, headers, _) = request(&addr, "POST", "/v1/plan", Some(body));
                 (status, headers)
             })
         })
@@ -284,11 +332,13 @@ fn graceful_drain_finishes_accepted_work() {
     let handle = start(config, FleetConfig::new(4, 7)).expect("start");
     let addr = addr_of(&handle);
 
-    // A slow request in flight...
+    // A slow request in flight (the constraint override sends it past
+    // the decision table to the worker)...
     let in_flight = {
         let addr = addr.clone();
         std::thread::spawn(move || {
-            request(&addr, "POST", "/v1/plan", Some("{\"delta_vth_mv\": 20.0}"))
+            let body = "{\"delta_vth_mv\": 20.0, \"constraint_factor\": 1.1}";
+            request(&addr, "POST", "/v1/plan", Some(body))
         })
     };
     std::thread::sleep(Duration::from_millis(100));

@@ -273,10 +273,10 @@ mod tests {
         let out_h = (h + 2 * pad - kh) / stride + 1;
         let out_w = (w + 2 * pad - kw) / stride + 1;
         let mut out = Tensor::zeros(&[oc, out_h, out_w]);
-        for o in 0..oc {
+        for (o, &bias_o) in bias.iter().enumerate().take(oc) {
             for oy in 0..out_h {
                 for ox in 0..out_w {
-                    let mut acc = bias[o];
+                    let mut acc = bias_o;
                     for cc in 0..c {
                         for ky in 0..kh {
                             for kx in 0..kw {
