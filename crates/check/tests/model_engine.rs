@@ -8,6 +8,11 @@
 //! caller gets the *same* `Arc`, and the hit/miss counters always sum
 //! to the number of calls.
 //!
+//! The grid-scan layer behind [`AgingAwareQuantizer::grid_scan`] fills
+//! on a different protocol, the one `sta_loads` uses: a miss computes
+//! outside the lock and keeps whichever entry was stored first, so
+//! racing callers may both scan but must all receive the same `Arc`.
+//!
 //! These tests run the genuine `agequant-core` code: cargo unifies the
 //! `model` feature onto the one `agequant-check` lib, so the engine's
 //! `RwLock`s and atomics compile to the instrumented versions and
@@ -19,7 +24,7 @@ use agequant_aging::{TechProfile, VthShift};
 use agequant_cells::ProcessLibrary;
 use agequant_check::sync::Arc;
 use agequant_check::{explore, thread, Config};
-use agequant_core::EvalEngine;
+use agequant_core::{AgingAwareQuantizer, EvalEngine, FlowConfig};
 
 fn cfg() -> Config {
     Config {
@@ -107,4 +112,44 @@ fn distinct_keys_never_alias_under_races() {
         assert_eq!((stats.library_misses, stats.library_hits), (2, 0));
     });
     assert!(report.schedules >= 2, "trivial space: {report:?}");
+}
+
+/// Two threads race one cold `(model, ΔVth)` grid scan on an engine
+/// whose library and loads at that shift are already warm: both must
+/// receive the same `Arc`, equal to the uncached serial scan, under
+/// every interleaving. A 1×1 grid (8 STA cases) keeps each schedule
+/// cheap; the flow is built inside the execution so the engine's locks
+/// are modeled.
+#[test]
+fn racing_grid_scans_share_one_arc() {
+    let mut config = FlowConfig::edge_tpu_like();
+    config.grid_max = 1;
+    let shift = VthShift::from_millivolts(30.0);
+    let reference = AgingAwareQuantizer::new(config.clone())
+        .expect("valid config")
+        .feasible_compressions_serial(shift, f64::INFINITY);
+    let report = explore(cfg(), move || {
+        let flow = Arc::new(AgingAwareQuantizer::new(config.clone()).expect("valid config"));
+        // Warms the library and the load vector at `shift`.
+        let _ = flow.baseline_delay_ps(shift);
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let flow = Arc::clone(&flow);
+                thread::spawn(move || flow.grid_scan(shift))
+            })
+            .collect();
+        let scans: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect();
+        assert!(
+            Arc::ptr_eq(&scans[0], &scans[1]),
+            "racing callers saw different scans for one key"
+        );
+        assert_eq!(scans[0].to_vec(), reference, "scan diverges from serial");
+    });
+    assert!(
+        report.exhausted && report.schedules >= 50,
+        "expected the whole race explored, got {report:?}"
+    );
 }

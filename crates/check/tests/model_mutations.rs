@@ -1,6 +1,6 @@
 //! Mutation self-test: proves the checker actually catches the bug
 //! classes it exists for, by re-running the real-code protocols
-//! against two seeded concurrency bugs.
+//! against three seeded concurrency bugs.
 //!
 //! The mutations live behind `--cfg agequant_model_mutation` in the
 //! production crates themselves (so the mutated code is byte-for-byte
@@ -12,6 +12,9 @@
 //! 2. `BoundedQueue::pop` degrades its `while` wait loop to a single
 //!    `if` — a spurious (timed-out) wakeup on an empty open queue
 //!    makes a consumer give up and abandon later accepted work.
+//! 3. `EvalEngine::grid_scan` overwrites the entry a racing caller
+//!    stored instead of keeping it — racing callers see different
+//!    scans for one key.
 //!
 //! Run with:
 //!
@@ -29,7 +32,7 @@ use agequant_aging::{TechProfile, VthShift};
 use agequant_cells::ProcessLibrary;
 use agequant_check::sync::Arc;
 use agequant_check::{explore_ok, thread, Config, ViolationKind};
-use agequant_core::EvalEngine;
+use agequant_core::{AgingAwareQuantizer, EvalEngine, FlowConfig};
 use agequant_serve::BoundedQueue;
 
 fn cfg() -> Config {
@@ -125,5 +128,43 @@ fn checker_catches_the_degraded_wait_loop() {
     assert!(
         violation.to_string().contains("failing schedule"),
         "report does not print the failing schedule:\n{violation}"
+    );
+}
+
+/// With the store overwriting instead of keeping the first entry, the
+/// second of two racing scans replaces the first caller's `Arc` — the
+/// checker must find the interleaving where both miss.
+#[test]
+fn checker_catches_the_overwritten_scan_entry() {
+    let mut config = FlowConfig::edge_tpu_like();
+    config.grid_max = 1;
+    let violation = explore_ok(cfg(), move || {
+        let flow = Arc::new(AgingAwareQuantizer::new(config.clone()).expect("valid config"));
+        let shift = VthShift::from_millivolts(30.0);
+        let _ = flow.baseline_delay_ps(shift);
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let flow = Arc::clone(&flow);
+                thread::spawn(move || flow.grid_scan(shift))
+            })
+            .collect();
+        let scans: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect();
+        assert!(
+            Arc::ptr_eq(&scans[0], &scans[1]),
+            "racing callers saw different scans for one key"
+        );
+    })
+    .expect_err("the overwritten scan entry must be caught");
+    assert!(
+        matches!(violation.kind, ViolationKind::Panic(_)),
+        "expected an invariant panic, got {:?}",
+        violation.kind
+    );
+    assert!(
+        !violation.schedule.is_empty(),
+        "violation carries no replayable schedule"
     );
 }

@@ -90,9 +90,9 @@ pub struct AgingAwareQuantizer {
     model: ModelSpec,
     model_key: String,
     derating: DelayDerating,
-    /// Shared across clones: the caches are keyed on (model, ΔVth,
-    /// constraint), which is sound because `mac` and `config` are
-    /// immutable after construction.
+    /// Shared across clones: the caches are keyed on (model, ΔVth)
+    /// and, for plans, the constraint, which is sound because `mac`
+    /// and `config` are immutable after construction.
     engine: Arc<EvalEngine>,
 }
 
@@ -234,35 +234,49 @@ impl AgingAwareQuantizer {
         sta.analyze(&case).critical_path_ps
     }
 
-    /// Scans the full `(α, β)` grid under both paddings at `shift`,
-    /// returning every point whose aged critical path meets
-    /// `constraint_ps` (Algorithm 1 lines 2–4 generalized to an
-    /// arbitrary constraint).
+    /// The full `(α, β)` grid under both paddings at `shift`: the aged
+    /// critical path of every valid case, in scan order, unfiltered
+    /// (Algorithm 1 lines 2–4 before the timing check).
     ///
-    /// The scan runs on the engine: the characterized library and the
-    /// load vector are cached per ΔVth, one STA session serves the
-    /// whole grid, and the independent case analyses fan out with
-    /// rayon. The indexed parallel map preserves scan order, so the
+    /// The scan is memoized per `(model, ΔVth)` on the engine, so every
+    /// timing constraint asked at one level shares it. On a miss the
+    /// characterized library and the load vector come from the engine,
+    /// one STA session serves the whole grid, and the independent case
+    /// analyses fan out with rayon; the indexed parallel map preserves
+    /// scan order.
+    #[must_use]
+    pub fn grid_scan(&self, shift: VthShift) -> Arc<[FeasiblePoint]> {
+        self.engine.grid_scan(&self.model_key, shift, || {
+            let lib = self.engine.library(&self.model_key, &self.derating, shift);
+            let loads =
+                self.engine
+                    .sta_loads(&self.model_key, &self.derating, self.mac.netlist(), shift);
+            let sta = Sta::with_loads(self.mac.netlist(), &lib, &loads);
+            self.grid_cases()
+                .par_iter()
+                .map(|&(compression, padding)| FeasiblePoint {
+                    compression,
+                    padding,
+                    delay_ps: self.scan_case(&sta, compression, padding),
+                })
+                .collect()
+        })
+    }
+
+    /// Every point of the `(α, β)` grid under both paddings at `shift`
+    /// whose aged critical path meets `constraint_ps` (Algorithm 1
+    /// lines 2–4 generalized to an arbitrary constraint), in scan
+    /// order.
+    ///
+    /// Filters the memoized [`grid_scan`](Self::grid_scan), so the
     /// result is bit-identical to
     /// [`feasible_compressions_serial`](Self::feasible_compressions_serial).
     #[must_use]
     pub fn feasible_compressions(&self, shift: VthShift, constraint_ps: f64) -> Vec<FeasiblePoint> {
-        let lib = self.engine.library(&self.model_key, &self.derating, shift);
-        let loads =
-            self.engine
-                .sta_loads(&self.model_key, &self.derating, self.mac.netlist(), shift);
-        let sta = Sta::with_loads(self.mac.netlist(), &lib, &loads);
-        let cases = self.grid_cases();
-        cases
-            .par_iter()
-            .map(|&(compression, padding)| FeasiblePoint {
-                compression,
-                padding,
-                delay_ps: self.scan_case(&sta, compression, padding),
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
+        self.grid_scan(shift)
+            .iter()
             .filter(|p| p.delay_ps <= constraint_ps + 1e-9)
+            .copied()
             .collect()
     }
 
@@ -308,6 +322,10 @@ impl AgingAwareQuantizer {
     /// Like [`compression_for`](Self::compression_for) with an explicit
     /// timing constraint — used for the partial-guardband study
     /// (Section 7: "(3,1) compression and only 9% guardband").
+    ///
+    /// A repeated `(shift, constraint)` is a plan-cache hit; a new
+    /// constraint at a level already scanned selects from the cached
+    /// [`grid_scan`](Self::grid_scan) without running STA.
     ///
     /// # Errors
     ///

@@ -8,7 +8,7 @@
 //! trajectories, and the figure/table binaries each re-ran
 //! [`ProcessLibrary::characterize`] for shifts they had already seen.
 //!
-//! [`EvalEngine`] memoizes three layers, keyed on the pair of a
+//! [`EvalEngine`] memoizes four layers, keyed on the pair of a
 //! degradation model's stable [`model_key`] and a *quantized* ΔVth
 //! (rounded to the nearest nanovolt, far below any physically
 //! meaningful difference, so float noise cannot split cache entries):
@@ -18,10 +18,16 @@
 //! 2. **Load vectors** — `(model_key, ΔVth) → Arc<Vec<f64>>` for the
 //!    engine's one netlist, reused across every case-analysis STA run
 //!    at that level via [`Sta::with_loads`].
-//! 3. **Compression plans** — `(model_key, ΔVth, constraint) →
-//!    CompressionPlan`, so the `archs × levels` sweeps of the accuracy
-//!    trajectory run the full `(α, β) × Padding` grid once per level
-//!    instead of once per network.
+//! 3. **Grid scans** — `(model_key, ΔVth) → Arc<[FeasiblePoint]>`: the
+//!    aged critical path of every valid `(α, β) × Padding` case,
+//!    unfiltered, in scan order (Algorithm 1 lines 2–4). A timing
+//!    constraint is only a filter over this list, so every constraint
+//!    asked at one level shares one scan.
+//! 4. **Compression plans** — `(model_key, ΔVth, constraint) →
+//!    CompressionPlan`, an O(1) answer for a repeated query (the
+//!    fleet's per-chip decisions, the `archs × levels` sweeps of the
+//!    accuracy trajectory). A plan miss selects from the cached scan;
+//!    only a scan miss runs STA.
 //!
 //! The model key enters every cache key because two models with
 //! different technology profiles derate the same ΔVth to different
@@ -42,8 +48,9 @@
 //! `/metrics` scrape can snapshot without touching any lock.
 //!
 //! One engine serves exactly one netlist (the quantizer's MAC): load
-//! vectors and plans are circuit-dependent. [`AgingAwareQuantizer`]
-//! creates its own engine at construction and shares it across clones;
+//! vectors, scans and plans are circuit-dependent.
+//! [`AgingAwareQuantizer`] creates its own engine at construction and
+//! shares it across clones;
 //! [`AgingAwareQuantizer::with_engine`] lets several quantizers with
 //! different models share one engine.
 //!
@@ -62,7 +69,7 @@ use agequant_cells::{CellLibrary, ProcessLibrary};
 use agequant_netlist::Netlist;
 use agequant_sta::Sta;
 
-use crate::CompressionPlan;
+use crate::{CompressionPlan, FeasiblePoint};
 
 /// A library/load cache key: model identity plus quantized shift.
 type ModelShiftKey = (String, i64);
@@ -79,7 +86,9 @@ pub struct CacheStats {
     pub library_misses: u64,
     /// Plan lookups served from the cache.
     pub plan_hits: u64,
-    /// Plan lookups that ran the full grid scan.
+    /// Plan lookups that had to select a plan: from the level's
+    /// cached grid scan when one exists, so a plan miss does not imply
+    /// a grid scan.
     pub plan_misses: u64,
 }
 
@@ -148,6 +157,7 @@ pub struct EvalEngine {
     process: ProcessLibrary,
     libraries: RwLock<HashMap<ModelShiftKey, Arc<CellLibrary>>>,
     loads: RwLock<HashMap<ModelShiftKey, Arc<Vec<f64>>>>,
+    scans: RwLock<HashMap<ModelShiftKey, Arc<[FeasiblePoint]>>>,
     plans: RwLock<HashMap<PlanKey, CompressionPlan>>,
     counters: RwLock<BTreeMap<String, Arc<ModelCounters>>>,
 }
@@ -169,6 +179,7 @@ impl EvalEngine {
             process,
             libraries: RwLock::new(HashMap::new()),
             loads: RwLock::new(HashMap::new()),
+            scans: RwLock::new(HashMap::new()),
             plans: RwLock::new(HashMap::new()),
             counters: RwLock::new(BTreeMap::new()),
         }
@@ -294,8 +305,40 @@ impl EvalEngine {
             .clone()
     }
 
+    /// The grid scan at `shift`, memoized per `(model_key, shift)`:
+    /// `scan` runs only on a miss and must return the aged delay of
+    /// every valid grid case in scan order, unfiltered. Must always be
+    /// called with the engine's one netlist and grid.
+    ///
+    /// Like [`sta_loads`](Self::sta_loads), a miss computes outside the
+    /// lock and keeps the first stored entry, so racing callers may
+    /// both scan but all of them receive the same `Arc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal lock was poisoned by a panicking caller.
+    #[must_use]
+    pub(crate) fn grid_scan(
+        &self,
+        model_key: &str,
+        shift: VthShift,
+        scan: impl FnOnce() -> Vec<FeasiblePoint>,
+    ) -> Arc<[FeasiblePoint]> {
+        let key = (model_key.to_string(), Self::shift_key(shift));
+        if let Some(points) = self.scans.read().expect("unpoisoned scan cache").get(&key) {
+            return Arc::clone(points);
+        }
+        let points: Arc<[FeasiblePoint]> = scan().into();
+        let mut cache = self.scans.write().expect("unpoisoned scan cache");
+        // Seeded bug for the checker's mutation self-test: overwriting
+        // the entry hands racing callers different scans.
+        #[cfg(agequant_model_mutation)]
+        cache.insert(key.clone(), Arc::clone(&points));
+        Arc::clone(cache.entry(key).or_insert(points))
+    }
+
     /// A cached compression plan for `(model_key, shift,
-    /// constraint_ps)`, if the grid was already scanned for this triple.
+    /// constraint_ps)`, if a plan was already selected for this triple.
     ///
     /// # Panics
     ///
@@ -402,6 +445,7 @@ impl EvalEngine {
             .expect("unpoisoned library cache")
             .clear();
         self.loads.write().expect("unpoisoned load cache").clear();
+        self.scans.write().expect("unpoisoned scan cache").clear();
         self.plans.write().expect("unpoisoned plan cache").clear();
     }
 }
@@ -487,6 +531,46 @@ mod tests {
         assert_eq!(by_model["nbti"].library_hits, 0);
         // The aggregate is the sum of the per-model snapshots.
         assert_eq!(engine.stats().library_misses, 2);
+    }
+
+    #[test]
+    fn grid_scans_run_once_per_model_and_shift_until_cleared() {
+        use std::cell::Cell;
+
+        use agequant_sta::{Compression, Padding};
+
+        let engine = EvalEngine::new(ProcessLibrary::finfet14nm());
+        let runs = Cell::new(0);
+        let scan = |delay_ps: f64| {
+            runs.set(runs.get() + 1);
+            vec![FeasiblePoint {
+                compression: Compression::NONE,
+                padding: Padding::ALL[0],
+                delay_ps,
+            }]
+        };
+        let shift = VthShift::from_millivolts(30.0);
+        let first = engine.grid_scan("nbti", shift, || scan(1.0));
+        let again = engine.grid_scan("nbti", shift, || scan(2.0));
+        assert!(Arc::ptr_eq(&first, &again), "a hit returns the stored scan");
+        assert_eq!(runs.get(), 1);
+        // Another model or another shift is another scan.
+        assert_eq!(
+            engine.grid_scan("hci", shift, || scan(3.0))[0].delay_ps,
+            3.0
+        );
+        let other = VthShift::from_millivolts(30.1);
+        assert_eq!(
+            engine.grid_scan("nbti", other, || scan(4.0))[0].delay_ps,
+            4.0
+        );
+        assert_eq!(runs.get(), 3);
+        engine.clear();
+        assert_eq!(
+            engine.grid_scan("nbti", shift, || scan(5.0))[0].delay_ps,
+            5.0
+        );
+        assert_eq!(runs.get(), 4);
     }
 
     #[test]

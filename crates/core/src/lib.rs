@@ -21,9 +21,9 @@
 //! (Fig. 5), and [`surrogate`] (§6.2's Pearson ranking study).
 //!
 //! All per-aging-level work runs on the shared [`EvalEngine`]:
-//! characterized libraries, STA load vectors, and compression plans
-//! are memoized per quantized ΔVth, and the independent fan-outs (the
-//! `(α, β) × Padding` grid, the per-method quantization runs, the
+//! characterized libraries, STA load vectors, grid scans and
+//! compression plans are memoized per quantized ΔVth, and the
+//! independent fan-outs (the `(α, β) × Padding` grid, the per-method quantization runs, the
 //! design-space and lifetime sweeps) are parallelized with rayon.
 //! Results are bit-identical to the retained uncached serial reference
 //! paths (`*_serial` methods); `tests/equivalence.rs` enforces this.

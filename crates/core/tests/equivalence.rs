@@ -3,6 +3,8 @@
 //! retained uncached serial reference paths, at every level of the
 //! paper's aging sweep.
 
+use std::sync::Arc;
+
 use agequant_aging::{VthShift, AGING_SWEEP_MV};
 use agequant_core::{AgingAwareQuantizer, FlowConfig};
 use agequant_nn::NetArch;
@@ -20,19 +22,38 @@ fn quick_flow(threshold_pct: Option<f64>) -> AgingAwareQuantizer {
     AgingAwareQuantizer::new(config).expect("valid config")
 }
 
+/// Timing constraints, as factors of the fresh critical path, asked at
+/// every level: tighter and looser than the clock, and the paper's 9%
+/// partial guardband. All of them share the level's one grid scan.
+const CONSTRAINT_FACTORS: [f64; 5] = [0.6, 0.8, 1.0, 1.09, 1.2];
+
 #[test]
 fn feasible_points_bit_identical_across_sweep() {
     let flow = flow();
     let clock = flow.fresh_critical_path_ps();
     for &mv in &AGING_SWEEP_MV {
         let shift = VthShift::from_millivolts(mv);
-        let parallel = flow.feasible_compressions(shift, clock);
-        let serial = flow.feasible_compressions_serial(shift, clock);
-        // `FeasiblePoint` holds f64 delays; `==` is exact bit-level
-        // agreement, not a tolerance comparison.
-        assert_eq!(parallel, serial, "divergence at {mv} mV");
-        // A second engine pass (now warm) must also agree.
-        assert_eq!(flow.feasible_compressions(shift, clock), serial);
+        // The first factor scans the level cold; every later one is a
+        // filter over the cached scan.
+        for factor in CONSTRAINT_FACTORS {
+            let constraint = clock * factor;
+            let parallel = flow.feasible_compressions(shift, constraint);
+            let serial = flow.feasible_compressions_serial(shift, constraint);
+            // `FeasiblePoint` holds f64 delays; `==` is exact bit-level
+            // agreement, not a tolerance comparison.
+            assert_eq!(parallel, serial, "divergence at {mv} mV, ×{factor}");
+            // A second engine pass (now warm) must also agree.
+            assert_eq!(flow.feasible_compressions(shift, constraint), serial);
+        }
+        // The unfiltered scan is the loosest constraint's feasible set,
+        // served as one shared allocation.
+        let scan = flow.grid_scan(shift);
+        assert!(Arc::ptr_eq(&scan, &flow.grid_scan(shift)));
+        assert_eq!(
+            scan.to_vec(),
+            flow.feasible_compressions_serial(shift, f64::INFINITY),
+            "unfiltered scan diverges at {mv} mV"
+        );
     }
     let stats = flow.engine().stats();
     assert!(stats.library_hits > 0, "cache never hit: {stats:?}");
@@ -41,15 +62,27 @@ fn feasible_points_bit_identical_across_sweep() {
 #[test]
 fn plans_bit_identical_across_sweep() {
     let flow = flow();
+    let clock = flow.fresh_critical_path_ps();
     for &mv in &AGING_SWEEP_MV {
         let shift = VthShift::from_millivolts(mv);
-        let cached = flow.compression_for(shift).expect("feasible");
-        let serial = flow
-            .compression_for_constraint_serial(shift, flow.fresh_critical_path_ps())
-            .expect("feasible");
-        assert_eq!(cached, serial, "divergence at {mv} mV");
-        // The plan-cache hit returns the identical plan.
-        assert_eq!(flow.compression_for(shift).expect("feasible"), serial);
+        for factor in CONSTRAINT_FACTORS {
+            let constraint = clock * factor;
+            // Compared as `Result`s: a factor no compression meets at
+            // this level must fail identically on both paths.
+            let serial = flow.compression_for_constraint_serial(shift, constraint);
+            assert_eq!(
+                flow.compression_for_constraint(shift, constraint),
+                serial,
+                "divergence at {mv} mV, ×{factor}"
+            );
+            // The plan-cache hit returns the identical plan.
+            assert_eq!(flow.compression_for_constraint(shift, constraint), serial);
+        }
+        assert_eq!(
+            flow.compression_for(shift),
+            flow.compression_for_constraint_serial(shift, clock),
+            "divergence at {mv} mV"
+        );
     }
     let stats = flow.engine().stats();
     assert!(stats.plan_hits >= AGING_SWEEP_MV.len() as u64, "{stats:?}");
@@ -59,11 +92,21 @@ fn plans_bit_identical_across_sweep() {
 fn infeasible_constraint_agrees_between_paths() {
     let flow = flow();
     let shift = VthShift::from_millivolts(50.0);
-    let parallel = flow.compression_for_constraint(shift, 1.0).unwrap_err();
     let serial = flow
         .compression_for_constraint_serial(shift, 1.0)
         .unwrap_err();
-    assert_eq!(parallel, serial);
+    // Cold: the failing query itself scans the level.
+    assert_eq!(
+        flow.compression_for_constraint(shift, 1.0).unwrap_err(),
+        serial
+    );
+    // Warm: a feasible query scanned the level, and the failing one is
+    // now answered from that scan.
+    flow.compression_for(shift).expect("feasible");
+    assert_eq!(
+        flow.compression_for_constraint(shift, 1.0).unwrap_err(),
+        serial
+    );
 }
 
 #[test]
@@ -117,8 +160,6 @@ fn threshold_unmet_error_agrees_between_paths() {
 /// torn entries).
 #[test]
 fn concurrent_threads_bit_identical_to_serial() {
-    use std::sync::Arc;
-
     // Serial reference: a private flow, one thread, uncached path.
     let reference = flow();
     let clock = reference.fresh_critical_path_ps();
@@ -181,8 +222,6 @@ fn concurrent_threads_bit_identical_to_serial() {
 /// `FleetSummary` split.
 #[test]
 fn models_share_an_engine_but_never_cache_entries() {
-    use std::sync::Arc;
-
     use agequant_aging::{ModelSpec, TechProfile};
     use agequant_core::EvalEngine;
 

@@ -9,20 +9,28 @@
 //!
 //! The decider is `Send + Sync`: the underlying
 //! [`EvalEngine`](agequant_core::EvalEngine) caches are concurrent,
-//! and the decider-side memos (per-bucket method selection, proven
-//! infeasibility, first-encounter characterization order) sit behind
-//! one mutex so racing server workers agree on every outcome.
+//! and the decider-side memos (method selection per bit-width pair,
+//! proven infeasibility, first-encounter characterization order) sit
+//! behind one mutex so racing server workers agree on every outcome.
+//!
+//! Each memo is keyed on what its computation reads. Method selection
+//! reads only the bit widths a plan induces, so every `(bucket,
+//! constraint)` whose plan lands on an already-evaluated `(α, β)`
+//! reuses that selection; the engine likewise shares one grid scan
+//! across every constraint at a ΔVth. A new constraint on a known
+//! level and bit-width pair is decided without running STA or
+//! evaluating a network.
 //!
 //! [`FleetSim`]: crate::FleetSim
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 use agequant_check::sync::{Arc, Mutex};
 
 use agequant_aging::VthShift;
 use agequant_core::{AgingAwareQuantizer, EvalEngine, FlowError};
 use agequant_nn::Model;
-use agequant_quant::QuantMethod;
+use agequant_quant::{BitWidths, QuantMethod};
 use agequant_sta::GuardbandModel;
 
 use agequant_mem::MemoryConfig;
@@ -87,9 +95,11 @@ impl Decision {
 /// consulted or updated on the same (cold) characterization path.
 #[derive(Debug, Default)]
 struct Memos {
-    /// Per-`(bucket, constraint bits)` method selection — model
-    /// evaluation has no engine-side cache.
-    methods: BTreeMap<(u64, u64), Option<(QuantMethod, f64)>>,
+    /// Method selection per bit-width pair — model evaluation has no
+    /// engine-side cache, and it reads nothing of a plan but its
+    /// [`BitWidths`], so the memo is bounded by the grid's `(α, β)`
+    /// pairs, not by the number of constraints asked.
+    methods: HashMap<BitWidths, Option<(QuantMethod, f64)>>,
     /// `(bucket, constraint bits)` pairs proven infeasible, so a
     /// degraded bucket is never rescanned per chip.
     infeasible: BTreeSet<(u64, u64)>,
@@ -244,8 +254,10 @@ impl Decider {
 
     /// The decision for an aging bucket under an explicit timing
     /// constraint (the server's per-request `constraint_factor`).
-    /// Memoization is keyed on `(bucket, constraint bits)`, so
-    /// non-default constraints never contaminate the fleet's record.
+    /// Infeasibility and the characterization record are keyed on
+    /// `(bucket, constraint bits)`, so non-default constraints never
+    /// contaminate the fleet's record; method selection is shared by
+    /// every key whose plan has the same bit widths.
     ///
     /// # Errors
     ///
@@ -284,7 +296,7 @@ impl Decider {
         let method = {
             let mut memos = self.memos.lock().expect("unpoisoned memos");
             Self::record_planned(&mut memos, key);
-            self.select_method_for(&mut memos, key, plan)?
+            self.select_method_for(&mut memos, plan)?
         };
         Ok(Decision::Plan(ChipPlan {
             bucket,
@@ -304,21 +316,21 @@ impl Decider {
         }
     }
 
-    /// Per-bucket method selection, memoized decider-side (quantizing
-    /// and evaluating a network is far more expensive than an STA scan
-    /// and has no engine cache). `None` when selection is disabled or
-    /// the configured threshold is unmet. Runs under the memo lock so
-    /// racing workers never duplicate a model evaluation.
+    /// Method selection for `plan`'s bit widths, memoized decider-side
+    /// (quantizing and evaluating a network is far more expensive than
+    /// an STA scan and has no engine cache). `None` when selection is
+    /// disabled or the configured threshold is unmet. Runs under the
+    /// memo lock so racing workers never duplicate a model evaluation.
     fn select_method_for(
         &self,
         memos: &mut Memos,
-        key: (u64, u64),
         plan: agequant_core::CompressionPlan,
     ) -> Result<Option<(QuantMethod, f64)>, FleetError> {
         let Some(arch) = self.config.network else {
             return Ok(None);
         };
-        if let Some(memo) = memos.methods.get(&key) {
+        let bits = plan.bit_widths();
+        if let Some(memo) = memos.methods.get(&bits) {
             return Ok(*memo);
         }
         if memos.model.is_none() {
@@ -330,7 +342,7 @@ impl Decider {
             Err(FlowError::ThresholdUnmet { .. }) => None,
             Err(other) => return Err(FleetError::Flow(other)),
         };
-        memos.methods.insert(key, method);
+        memos.methods.insert(bits, method);
         Ok(method)
     }
 
@@ -478,6 +490,70 @@ mod tests {
             "degraded chips still track their aging bucket"
         );
         assert!(decision.plan().is_none());
+    }
+
+    /// A decider whose memos and engine are warm from other keys must
+    /// decide every key exactly like a fresh decider that sees only
+    /// that key: sharing the grid scan across constraints and the
+    /// method selection across keys with the same bit widths changes
+    /// no decision.
+    #[test]
+    fn warm_decider_decides_like_fresh_ones() {
+        let mut config = FleetConfig::new(1, 2021);
+        config.network = Some(agequant_nn::NetArch::SqueezeNet11);
+        config.bucket_mv = 5.0;
+        // Buckets across 0–50 mV, each revisited under a second
+        // constraint factor; bucket 0 plans (0, 0) under both.
+        let keys: [(u64, f64); 12] = [
+            (0, 1.0),
+            (2, 1.0),
+            (0, 1.2),
+            (4, 1.09),
+            (2, 0.8),
+            (6, 1.0),
+            (4, 0.6),
+            (8, 0.8),
+            (6, 1.2),
+            (10, 1.0),
+            (8, 1.0),
+            (10, 0.6),
+        ];
+        let warm = Decider::from_config(&config).expect("valid config");
+        let decisions: Vec<Decision> = keys
+            .iter()
+            .map(|&(bucket, factor)| {
+                warm.decide_bucket_at(bucket, warm.constraint_ps() * factor)
+                    .expect("decides")
+            })
+            .collect();
+        for (&(bucket, factor), warm_decision) in keys.iter().zip(&decisions) {
+            let fresh = Decider::from_config(&config).expect("valid config");
+            let fresh_decision = fresh
+                .decide_bucket_at(bucket, fresh.constraint_ps() * factor)
+                .expect("decides");
+            assert_eq!(
+                fresh_decision, *warm_decision,
+                "bucket {bucket} at ×{factor} diverged from a fresh decider"
+            );
+        }
+
+        let plans: Vec<&ChipPlan> = decisions.iter().filter_map(Decision::plan).collect();
+        assert_eq!(plans.len(), keys.len(), "every key is feasible");
+        let mut shared_pairs = 0;
+        for (i, a) in plans.iter().enumerate() {
+            for b in &plans[i + 1..] {
+                if a.plan.compression == b.plan.compression {
+                    shared_pairs += 1;
+                    assert!(a.method.is_some(), "selection is enabled");
+                    assert_eq!(a.method, b.method);
+                    assert_eq!(
+                        a.accuracy_loss_pct.map(f64::to_bits),
+                        b.accuracy_loss_pct.map(f64::to_bits)
+                    );
+                }
+            }
+        }
+        assert!(shared_pairs > 0, "no two keys share an (α, β)");
     }
 
     #[test]
