@@ -29,8 +29,8 @@ fn bench_grid_scan(c: &mut Criterion) {
         b.iter(|| black_box(flow.feasible_compressions_serial(eol, clock)));
     });
 
-    // The engine path: cached library and load vector, rayon fan-out
-    // over the grid cases.
+    // The engine path: the memoized grid scan (one `par_map` fan-out
+    // over the grid cases on the first call), filtered per constraint.
     c.bench_function("engine/grid_scan_parallel_cached", |b| {
         b.iter(|| black_box(flow.feasible_compressions(eol, clock)));
     });

@@ -39,10 +39,10 @@
 //! `notify_one` wakes the longest-waiting modeled waiter (FIFO), and a
 //! timed wait may spuriously time out a bounded number of times per
 //! thread per execution. Threads *not* spawned through the facade
-//! (e.g. vendored-rayon workers) fall back to the real `std`
-//! primitives inside the same types, so mutual exclusion remains sound
-//! even for hybrid workloads — they just don't participate in
-//! schedule exploration.
+//! fall back to the real `std` primitives inside the same types, so
+//! mutual exclusion remains sound even for hybrid workloads — they
+//! just don't participate in schedule exploration. [`par_map`], the
+//! workspace's one data-parallel map, spawns through the facade.
 
 #[cfg(any(feature = "model", agequant_model))]
 mod model;
@@ -76,4 +76,96 @@ pub mod sync {
 #[cfg(any(feature = "model", agequant_model))]
 pub mod thread {
     pub use crate::model::thread::*;
+}
+
+/// Maps `f` over `items` in parallel and returns the results in input
+/// order.
+///
+/// The caller works as one of up to [`thread::available_parallelism`]
+/// workers (which honours CPU affinity and cgroup quotas); the others
+/// are spawned through the facade [`thread::scope`], so under the model
+/// checker they are scheduled threads. Workers claim items one at a
+/// time from a plain `std` atomic: unevenly priced items still balance,
+/// and which worker takes which item is not explored (a modeled claim
+/// would add a yield point per item). Zero or one item, or one core,
+/// runs inline on the caller's thread. A panic in `f` propagates to
+/// the caller once every worker has stopped.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    use std::panic::resume_unwind;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let workers = match items.len() {
+        0 | 1 => 1,
+        n => thread::available_parallelism().map_or(1, |p| p.get().min(n)),
+    };
+    if workers == 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        std::iter::from_fn(|| {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            Some((index, f(items.get(index)?)))
+        })
+        .collect::<Vec<_>>()
+    };
+    let mut done = thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for handle in handles {
+            done.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::par_map;
+
+    #[test]
+    fn results_keep_input_order_under_uneven_costs() {
+        // 37 items: not a multiple of any worker count but 37 itself,
+        // and every fifth item is much dearer than its neighbours.
+        let items: Vec<u64> = (0..37).collect();
+        let out = par_map(&items, |&x| {
+            if x % 5 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            x * x
+        });
+        assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_input_maps_to_empty_output() {
+        let out: Vec<u8> = par_map(&[] as &[u8], |&x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_single_item_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let out = par_map(&[7], |&x| (x, std::thread::current().id()));
+        assert_eq!(out, vec![(7, caller)]);
+    }
+
+    #[test]
+    fn a_panic_in_f_propagates() {
+        let items: Vec<u32> = (0..16).collect();
+        let caught = std::panic::catch_unwind(|| {
+            par_map(&items, |&x| {
+                assert!(x != 11, "item {x} failed");
+                x
+            })
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(msg, "item 11 failed");
+    }
 }

@@ -240,8 +240,9 @@ pub(crate) struct Execution {
 
 // ---------------------------------------------------------------------------
 // Thread-local identity: which execution (if any) this OS thread
-// belongs to. Threads without a context — including vendored-rayon
-// workers — fall back to real std primitives inside the facade types.
+// belongs to. Threads without a context — any thread not spawned
+// through the facade from inside an execution — fall back to real std
+// primitives inside the facade types.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone)]

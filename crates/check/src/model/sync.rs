@@ -3,9 +3,9 @@
 //! Each type wraps the real primitive *plus* an optional link to the
 //! model execution it was created under. Model threads yield to the
 //! scheduler before every visible operation; threads without a model
-//! context (e.g. vendored-rayon workers) skip the scheduler and use
-//! the real primitive directly, so mutual exclusion stays sound for
-//! hybrid workloads.
+//! context (e.g. threads spawned with plain `std::thread`) skip the
+//! scheduler and use the real primitive directly, so mutual exclusion
+//! stays sound for hybrid workloads.
 //!
 //! `Arc` and `mpsc` pass through un-modeled: they are value plumbing,
 //! not scheduling points, in every protocol this workspace models.

@@ -5,7 +5,7 @@
 
 use agequant_check::sync::atomic::{AtomicU64, Ordering};
 use agequant_check::sync::{Arc, Condvar, Mutex};
-use agequant_check::{explore, explore_ok, thread, Config, ViolationKind};
+use agequant_check::{explore, explore_ok, par_map, thread, Config, ViolationKind};
 
 fn small() -> Config {
     Config {
@@ -44,6 +44,28 @@ fn finds_the_lost_update_race() {
         violation.trace.contains("atomically"),
         "trace should show the atomic steps:\n{}",
         violation.trace
+    );
+}
+
+/// `par_map`'s workers are model threads: a lost-update
+/// read-modify-write through a facade `Mutex` inside the mapped
+/// closure must be found, which it could not be if the workers ran
+/// outside the scheduler.
+#[test]
+fn finds_the_lost_update_inside_par_map() {
+    let violation = explore_ok(small(), || {
+        let counter = Mutex::new(0_u64);
+        par_map(&[(), ()], |()| {
+            let seen = *counter.lock().expect("locks");
+            *counter.lock().expect("locks") = seen + 1;
+        });
+        assert_eq!(*counter.lock().expect("locks"), 2, "lost an increment");
+    })
+    .expect_err("the lost update across par_map workers must be found");
+    assert!(
+        matches!(violation.kind, ViolationKind::Panic(_)),
+        "expected a failed assert, got {:?}",
+        violation.kind
     );
 }
 

@@ -2,11 +2,12 @@
 //!
 //! Every per-aging-level entry point has two faces: the default
 //! methods run on the shared [`EvalEngine`] (memoized characterization
-//! and load vectors, plan cache, rayon-parallel scans), while the
+//! and load vectors, plan cache, `par_map`-parallel scans), while the
 //! `*_serial` methods preserve the original uncached single-threaded
 //! reference implementation. The two are bit-identical — see
 //! `crates/core/tests/equivalence.rs`.
 
+use agequant_check::par_map;
 use agequant_check::sync::Arc;
 
 use agequant_aging::{DegradationModel, DelayDerating, ModelSpec, VthShift};
@@ -14,7 +15,6 @@ use agequant_netlist::mac::MacCircuit;
 use agequant_nn::{accuracy_loss_pct, ExactExecutor, Model, NetArch, SyntheticDataset};
 use agequant_quant::{quantize_model_with, BitWidths, QuantMethod, QuantizedModel};
 use agequant_sta::{mac_case_on, CaseAssignment, Compression, Padding, Sta};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::{EvalEngine, FlowConfig, FlowError};
@@ -242,8 +242,8 @@ impl AgingAwareQuantizer {
     /// timing constraint asked at one level shares it. On a miss the
     /// characterized library and the load vector come from the engine,
     /// one STA session serves the whole grid, and the independent case
-    /// analyses fan out with rayon; the indexed parallel map preserves
-    /// scan order.
+    /// analyses fan out through [`par_map`], which preserves scan
+    /// order.
     #[must_use]
     pub fn grid_scan(&self, shift: VthShift) -> Arc<[FeasiblePoint]> {
         self.engine.grid_scan(&self.model_key, shift, || {
@@ -252,14 +252,13 @@ impl AgingAwareQuantizer {
                 self.engine
                     .sta_loads(&self.model_key, &self.derating, self.mac.netlist(), shift);
             let sta = Sta::with_loads(self.mac.netlist(), &lib, &loads);
-            self.grid_cases()
-                .par_iter()
-                .map(|&(compression, padding)| FeasiblePoint {
+            par_map(&self.grid_cases(), |&(compression, padding)| {
+                FeasiblePoint {
                     compression,
                     padding,
                     delay_ps: self.scan_case(&sta, compression, padding),
-                })
-                .collect()
+                }
+            })
         })
     }
 
@@ -449,11 +448,11 @@ impl AgingAwareQuantizer {
     /// quantize `model` with every library method at the plan's bit
     /// widths and select per the threshold policy.
     ///
-    /// The per-method quantize-and-evaluate runs fan out with rayon;
-    /// the threshold policy is then applied to the ordered loss list,
-    /// reproducing the serial early exit exactly: with a threshold
-    /// set, the reported `method_losses` end at the first method
-    /// meeting it. Bit-identical to
+    /// The per-method quantize-and-evaluate runs fan out through
+    /// [`par_map`]; the threshold policy is then applied to the
+    /// ordered loss list, reproducing the serial early exit exactly:
+    /// with a threshold set, the reported `method_losses` end at the
+    /// first method meeting it. Bit-identical to
     /// [`select_method_serial`](Self::select_method_serial).
     ///
     /// # Errors
@@ -468,15 +467,12 @@ impl AgingAwareQuantizer {
         let (calib, eval) = self.splits();
         let fp32 = model.predict_all(&ExactExecutor, eval.images());
         let bits = plan.bit_widths();
-        let method_losses: Vec<(QuantMethod, f64)> = QuantMethod::ALL
-            .par_iter()
-            .map(|&method| {
-                let quantized: QuantizedModel =
-                    quantize_model_with(model, method, bits, &calib, &self.config.lapq);
-                let preds = model.predict_all(&quantized, eval.images());
-                (method, accuracy_loss_pct(&fp32, &preds))
-            })
-            .collect();
+        let method_losses = par_map(&QuantMethod::ALL, |&method| {
+            let quantized: QuantizedModel =
+                quantize_model_with(model, method, bits, &calib, &self.config.lapq);
+            let preds = model.predict_all(&quantized, eval.images());
+            (method, accuracy_loss_pct(&fp32, &preds))
+        });
         Self::resolve_methods(model.name(), plan, method_losses, self.config.threshold_pct)
     }
 

@@ -162,10 +162,10 @@ pub struct EvalEngine {
     counters: RwLock<BTreeMap<String, Arc<ModelCounters>>>,
 }
 
-// The engine is shared by reference across worker threads (rayon scans
-// and the serve crate's request workers); regressing `Send + Sync`
-// would only surface as a compile error far from the cause, so pin it
-// here at the definition.
+// The engine is shared by reference across worker threads (`par_map`
+// fan-outs and the serve crate's request workers); regressing
+// `Send + Sync` would only surface as a compile error far from the
+// cause, so pin it here at the definition.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<EvalEngine>();

@@ -7,9 +7,9 @@
 //! combination and scores each against the aging scenario.
 
 use agequant_aging::VthShift;
+use agequant_check::par_map;
 use agequant_netlist::mac::MacGeometry;
 use agequant_netlist::{MultiplierArch, PrefixStyle};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::{AgingAwareQuantizer, FlowConfig, MacSpec};
@@ -50,8 +50,8 @@ impl DesignPoint {
 /// scenario. Results are sorted by [`DesignPoint::figure_of_merit`].
 ///
 /// The independent design points (synthesis + fresh STA + EOL grid
-/// scan each) fan out with rayon; the pre-sort order is the same
-/// multiplier-outer/accumulator-inner sequence the serial loop
+/// scan each) fan out through [`par_map`]; the pre-sort order is the
+/// same multiplier-outer/accumulator-inner sequence the serial loop
 /// produced, and the sort is stable, so the ranking is deterministic.
 ///
 /// # Errors
@@ -76,25 +76,22 @@ pub fn explore_macs(
             }
         }
     }
-    let mut points = specs
-        .par_iter()
-        .map(|&spec| {
-            let mut config = base.clone();
-            config.mac = spec;
-            let flow = AgingAwareQuantizer::new(config)?;
-            let plan = flow.compression_for(eol).ok();
-            Ok(DesignPoint {
-                spec: flow.config().mac,
-                gates: flow.mac().netlist().gate_count(),
-                fresh_cp_ps: flow.fresh_critical_path_ps(),
-                eol_plan: plan.map(|p| (p.compression.alpha(), p.compression.beta())),
-                eol_bits_removed: plan.map(|p| p.compression.alpha() + p.compression.beta()),
-                guardband: flow.config().scenario.required_guardband(),
-            })
+    let mut points = par_map(&specs, |&spec| {
+        let mut config = base.clone();
+        config.mac = spec;
+        let flow = AgingAwareQuantizer::new(config)?;
+        let plan = flow.compression_for(eol).ok();
+        Ok(DesignPoint {
+            spec: flow.config().mac,
+            gates: flow.mac().netlist().gate_count(),
+            fresh_cp_ps: flow.fresh_critical_path_ps(),
+            eol_plan: plan.map(|p| (p.compression.alpha(), p.compression.beta())),
+            eol_bits_removed: plan.map(|p| p.compression.alpha() + p.compression.beta()),
+            guardband: flow.config().scenario.required_guardband(),
         })
-        .collect::<Vec<Result<DesignPoint, crate::FlowError>>>()
-        .into_iter()
-        .collect::<Result<Vec<DesignPoint>, crate::FlowError>>()?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<DesignPoint>, crate::FlowError>>()?;
     points.sort_by(|a, b| {
         a.figure_of_merit()
             .partial_cmp(&b.figure_of_merit())

@@ -23,8 +23,9 @@
 //! All per-aging-level work runs on the shared [`EvalEngine`]:
 //! characterized libraries, STA load vectors, grid scans and
 //! compression plans are memoized per quantized ΔVth, and the
-//! independent fan-outs (the `(α, β) × Padding` grid, the per-method quantization runs, the
-//! design-space and lifetime sweeps) are parallelized with rayon.
+//! independent fan-outs (the `(α, β) × Padding` grid, the per-method
+//! quantization runs, the design-space and lifetime sweeps) run on
+//! [`agequant_check::par_map`], an order-preserving parallel map.
 //! Results are bit-identical to the retained uncached serial reference
 //! paths (`*_serial` methods); `tests/equivalence.rs` enforces this.
 //!

@@ -1,8 +1,8 @@
 //! Lifetime trajectories: Fig. 4a (delay) and Fig. 4b (accuracy).
 
 use agequant_aging::VthShift;
+use agequant_check::par_map;
 use agequant_nn::NetArch;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::{AgingAwareQuantizer, FlowError, ModelOutcome};
@@ -37,7 +37,7 @@ impl DelayTrajectory {
     /// Computes the trajectory over the scenario's standard sweep.
     ///
     /// The per-aging-level computations (baseline STA + grid scan)
-    /// are independent, so they fan out with rayon; the indexed map
+    /// are independent, so they fan out through [`par_map`], which
     /// keeps the points in sweep order, and every level's library,
     /// load vector, and plan land in the flow's engine cache for
     /// later sweeps (Table 1 reuses Fig. 4a's plans, for instance).
@@ -47,25 +47,19 @@ impl DelayTrajectory {
     /// Propagates [`FlowError::NoFeasibleCompression`].
     pub fn compute(flow: &AgingAwareQuantizer) -> Result<Self, FlowError> {
         let fresh = flow.fresh_critical_path_ps();
-        let points = flow
-            .config()
-            .scenario
-            .sweep()
-            .par_iter()
-            .map(|&shift| {
-                let plan = flow.compression_for(shift)?;
-                Ok(DelayPoint {
-                    shift,
-                    baseline_norm: flow.baseline_delay_ps(shift) / fresh,
-                    ours_norm: plan.compressed_delay_ps / fresh,
-                    alpha: plan.compression.alpha(),
-                    beta: plan.compression.beta(),
-                    padding: plan.padding.name().to_string(),
-                })
+        let points = par_map(&flow.config().scenario.sweep(), |&shift| {
+            let plan = flow.compression_for(shift)?;
+            Ok(DelayPoint {
+                shift,
+                baseline_norm: flow.baseline_delay_ps(shift) / fresh,
+                ours_norm: plan.compressed_delay_ps / fresh,
+                alpha: plan.compression.alpha(),
+                beta: plan.compression.beta(),
+                padding: plan.padding.name().to_string(),
             })
-            .collect::<Vec<Result<DelayPoint, FlowError>>>()
-            .into_iter()
-            .collect::<Result<Vec<DelayPoint>, FlowError>>()?;
+        })
+        .into_iter()
+        .collect::<Result<Vec<DelayPoint>, FlowError>>()?;
         Ok(DelayTrajectory { points })
     }
 
@@ -106,30 +100,28 @@ impl AccuracyTrajectory {
     /// Runs Algorithm 1 for every given network at every aged level of
     /// the scenario sweep.
     ///
-    /// The networks fan out with rayon (each builds and evaluates its
-    /// own model); within one network the levels run in order, hitting
-    /// the engine's plan cache — the `(α, β)` grid is scanned once per
-    /// level, not once per `(network, level)` pair as in the seed.
+    /// The networks fan out through [`par_map`] (each builds and
+    /// evaluates its own model); within one network the levels run in
+    /// order, hitting the engine's plan cache — the `(α, β)` grid is
+    /// scanned once per level, not once per `(network, level)` pair as
+    /// in the seed.
     ///
     /// # Errors
     ///
     /// Propagates flow errors.
     pub fn compute(flow: &AgingAwareQuantizer, archs: &[NetArch]) -> Result<Self, FlowError> {
         let shifts = flow.config().scenario.aged_sweep();
-        let outcomes = archs
-            .par_iter()
-            .map(|&arch| {
-                let model = arch.build(flow.config().model_seed);
-                let mut per_level = Vec::with_capacity(shifts.len());
-                for &shift in &shifts {
-                    let plan = flow.compression_for(shift)?;
-                    per_level.push(flow.select_method(&model, plan)?);
-                }
-                Ok((arch.name().to_string(), per_level))
-            })
-            .collect::<Vec<Result<(String, Vec<ModelOutcome>), FlowError>>>()
-            .into_iter()
-            .collect::<Result<Vec<_>, FlowError>>()?;
+        let outcomes = par_map(archs, |&arch| {
+            let model = arch.build(flow.config().model_seed);
+            let mut per_level = Vec::with_capacity(shifts.len());
+            for &shift in &shifts {
+                let plan = flow.compression_for(shift)?;
+                per_level.push(flow.select_method(&model, plan)?);
+            }
+            Ok((arch.name().to_string(), per_level))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, FlowError>>()?;
         Ok(AccuracyTrajectory { shifts, outcomes })
     }
 

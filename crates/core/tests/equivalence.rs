@@ -1,5 +1,5 @@
 //! Provable equivalence of the evaluation engine: the memoized,
-//! rayon-parallel paths must return **bit-identical** results to the
+//! `par_map`-parallel paths must return **bit-identical** results to the
 //! retained uncached serial reference paths, at every level of the
 //! paper's aging sweep.
 

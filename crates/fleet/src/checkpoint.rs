@@ -60,6 +60,14 @@ const HEADER_LEN: usize = 8 + 4 + 8;
 /// Chip record sentinel for "no plan" (a guardband-degraded chip).
 const NO_PLAN: u32 = u32::MAX;
 
+/// Lower bounds on the bytes one record takes, which cap what a
+/// decoder reserves for a count: [`encode_plan`] with no accuracy
+/// loss, [`encode_chip`] in format 2 with a point-less surrogate model
+/// and no mission phases, and one surrogate curve point.
+const MIN_PLAN_RECORD: usize = 8 + 8 + 3 + 8 + 8 + 8 + 1 + 1;
+const MIN_CHIP_RECORD: usize = 4 + 1 + (1 + 6 * 8 + 4) + 1 + 8 + 1 + 4;
+const CURVE_POINT_RECORD: usize = 16;
+
 // --- CRC32 (IEEE 802.3, the zlib/PNG polynomial) -----------------------
 
 const fn crc32_table() -> [u32; 256] {
@@ -457,6 +465,14 @@ impl<'a> Reader<'a> {
     fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// How many of `count` records of at least `min_record` bytes to
+    /// reserve room for: no more than the unread payload can hold, so
+    /// a lying count cannot reserve memory for records that are not
+    /// there.
+    fn capacity_for(&self, count: usize, min_record: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / min_record)
+    }
 }
 
 fn checked_count(what: &str, n: u64) -> Result<usize, FleetError> {
@@ -535,7 +551,7 @@ fn decode_model(r: &mut Reader<'_>) -> Result<ModelSpec, FleetError> {
         2 => {
             let profile = r.profile()?;
             let npoints = checked_count("surrogate curve point", u64::from(r.u32()?))?;
-            let mut points = Vec::with_capacity(npoints.min(1 << 16));
+            let mut points = Vec::with_capacity(r.capacity_for(npoints, CURVE_POINT_RECORD));
             for _ in 0..npoints {
                 points.push((r.f64()?, r.f64()?));
             }
@@ -755,11 +771,11 @@ impl FleetState {
         };
         let chip_count = checked_count("chip", r.u64()?)?;
         let plan_count = checked_count("distinct plan", u64::from(r.u32()?))?;
-        let mut plans = Vec::with_capacity(plan_count.min(1 << 20));
+        let mut plans = Vec::with_capacity(r.capacity_for(plan_count, MIN_PLAN_RECORD));
         for _ in 0..plan_count {
             plans.push(decode_plan(&mut r)?);
         }
-        let mut chips = Vec::with_capacity(chip_count.min(1 << 24));
+        let mut chips = Vec::with_capacity(r.capacity_for(chip_count, MIN_CHIP_RECORD));
         for _ in 0..chip_count {
             chips.push(decode_chip(&mut r, &plans, with_mem, with_autopilot)?);
         }
@@ -886,6 +902,22 @@ mod tests {
         let back = FleetState::from_binary(&frame).expect("decodes");
         assert_eq!(back, state);
         assert!(back.chips.iter().all(|c| c.pilot.is_some()));
+    }
+
+    #[test]
+    fn record_minimums_bound_every_record_the_encoder_writes() {
+        let state = small_state();
+        for chip in &state.chips {
+            if let Some(plan) = &chip.plan {
+                let mut bare = *plan;
+                bare.accuracy_loss_pct = None;
+                assert_eq!(encode_plan(&bare).len(), MIN_PLAN_RECORD);
+                assert!(encode_plan(plan).len() >= MIN_PLAN_RECORD);
+            }
+            let mut record = Vec::new();
+            encode_chip(&mut record, &ChipView::of(chip), None, false, false).expect("encodes");
+            assert!(record.len() >= MIN_CHIP_RECORD, "{} bytes", record.len());
+        }
     }
 
     #[test]

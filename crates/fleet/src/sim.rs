@@ -27,6 +27,7 @@
 //! [`EvalEngine`]: agequant_core::EvalEngine
 //! [`EventKind::Degraded`]: crate::journal::EventKind::Degraded
 
+use agequant_check::par_map;
 use agequant_check::sync::Arc;
 use std::collections::BTreeMap;
 
@@ -498,12 +499,12 @@ impl FleetSim {
         // would, so checkpoints stay bit-identical.
         let mut starts: Vec<(u32, u32, FleetRng)> = Vec::with_capacity(parts.len());
         let mut base = 0u32;
-        for &count in &parts {
+        for (k, &count) in parts.iter().enumerate() {
             let count = u32::try_from(count).expect("partition fits the chip count");
             starts.push((base, count, rng.clone()));
-            if parts.len() == 1 {
-                // Single shard: it samples from the fleet stream
-                // directly below; no need to skip ahead here.
+            if k + 1 == parts.len() {
+                // The fleet stream resumes from the last shard's own
+                // substream below; no need to skip past it here.
                 break;
             }
             for _ in 0..count {
@@ -511,26 +512,14 @@ impl FleetSim {
             }
             base += count;
         }
-        let shards: Vec<FleetShard> = if starts.len() == 1 {
-            let (base, count, start) = starts.pop().expect("one shard");
-            let shard = FleetShard::sample(base, count, &model, start);
-            rng = shard.substream().clone();
-            vec![shard]
-        } else {
-            agequant_check::thread::scope(|scope| {
-                let handles: Vec<_> = starts
-                    .into_iter()
-                    .map(|(base, count, start)| {
-                        let model = &model;
-                        scope.spawn(move || FleetShard::sample(base, count, model, start))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sampling thread panicked"))
-                    .collect()
-            })
-        };
+        let shards = par_map(&starts, |(base, count, start)| {
+            FleetShard::sample(*base, *count, &model, start.clone())
+        });
+        let rng = shards
+            .last()
+            .expect("a partition has a shard")
+            .substream()
+            .clone();
         let mut sim = FleetSim {
             decider,
             config,
@@ -714,21 +703,7 @@ impl FleetSim {
             return Ok(());
         }
         let bucket_mv = self.config.bucket_mv;
-        let crossings: Vec<Vec<(usize, u64)>> = if self.shards.len() == 1 {
-            vec![self.shards[0].crossings(years, bucket_mv)]
-        } else {
-            agequant_check::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || shard.crossings(years, bucket_mv)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("physics thread panicked"))
-                    .collect()
-            })
-        };
+        let crossings = par_map(&self.shards, |shard| shard.crossings(years, bucket_mv));
         for (shard, crossed) in self.shards.iter_mut().zip(crossings) {
             for (i, new_bucket) in crossed {
                 shard.record_crossing(i, new_bucket, epoch);
