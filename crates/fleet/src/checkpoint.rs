@@ -8,11 +8,17 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "AGQFLEET"
-//! 8       4     format version, u32 LE (= CHECKPOINT_FORMAT)
+//! 8       4     format version, u32 LE (2, 3 or 4; see below)
 //! 12      8     payload length, u64 LE
 //! 20      n     payload
 //! 20+n    4     CRC32 (IEEE) of the payload, u32 LE
 //! ```
+//!
+//! Formats 2, 3 and 4 all decode. The encoder writes the one the config
+//! implies ([`FleetConfig::checkpoint_format`]): 2 for a plain fleet, 3
+//! when the weight-memory axis is on (each chip record gains its memory
+//! state), 4 when the autopilot is armed (the payload gains the budget
+//! ledger, each chip record its pilot state).
 //!
 //! Every multi-byte integer is little-endian; every `f64` is stored as
 //! its IEEE-754 bit pattern (`to_bits`), so encode→decode is exact and
@@ -26,13 +32,25 @@
 //! handful of distinct plans; interning them is most of the size win
 //! beyond dropping field names.
 //!
+//! Save and load run at memory speed. The CRC is a table-driven
+//! slice-by-16 kernel ([`Crc32`]): 16 lookups fold each 16-byte block,
+//! and only the sub-block tail goes bytewise. The encoder assembles the
+//! frame in one buffer: it interns the plan table in a first pass over
+//! the chips, writes header, preamble and table, then writes each chip
+//! record once, back-patches the length and appends the CRC. No record
+//! is copied after it is written.
+//!
 //! [`FleetState::load`] sniffs the magic and falls back to the JSON
 //! parser (including its format-1 migration), so every historical
 //! checkpoint still loads; [`FleetState::from_binary`] reports
 //! structural damage as typed [`CorruptKind`] values rather than a
-//! parse error soup.
+//! parse error soup. The CRC is verified before anything is parsed.
+//! Past it, a frame either fails as a typed error or decodes to a
+//! state that re-encodes to exactly its bytes: a non-canonical config,
+//! a format that disagrees with the config, or a plan table that is
+//! not the encoder's first-use interning are refused, not normalized.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use agequant_aging::{
     DegradationModel, HciModel, MissionProfile, ModelSpec, NbtiPowerLaw, Phase, TechProfile,
@@ -68,10 +86,20 @@ const MIN_PLAN_RECORD: usize = 8 + 8 + 3 + 8 + 8 + 8 + 1 + 1;
 const MIN_CHIP_RECORD: usize = 4 + 1 + (1 + 6 * 8 + 4) + 1 + 8 + 1 + 4;
 const CURVE_POINT_RECORD: usize = 16;
 
+/// Bytes the encoder reserves per chip record up front: above a
+/// format-4 record with memory and pilot state (about 180 B), so a
+/// typical fleet's frame is written without reallocating. Reserved
+/// pages the records do not reach are never touched.
+const CHIP_RECORD_RESERVE: usize = 192;
+
 // --- CRC32 (IEEE 802.3, the zlib/PNG polynomial) -----------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-16 tables for the reflected polynomial `0xEDB8_8320`.
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
+/// the CRC register after byte `b` is followed by `k` zero bytes, so
+/// one 16-byte block folds in with 16 independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -84,22 +112,91 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+/// Streaming CRC32 (IEEE): feed the bytes in any split with
+/// [`Crc32::update`], then [`Crc32::finish`]. The result depends only
+/// on the concatenated bytes, never on where they were split.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    register: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// A fresh checksum over zero bytes.
+    #[must_use]
+    pub const fn new() -> Self {
+        Crc32 {
+            register: 0xFFFF_FFFF,
+        }
+    }
+
+    /// Folds `bytes` into the checksum: 16 bytes per step through the
+    /// slice-by-16 tables, then the sub-block tail one byte at a time.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let lane =
+            |b: &[u8; 16], at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+        let byte = |w: u32, shift: u32| ((w >> shift) & 0xFF) as usize;
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let mut c = self.register;
+        for block in blocks {
+            // Lanes 1-3 do not depend on the running register, so they
+            // fold while the lane-0 lookups wait on it; only those four
+            // lookups and two XORs sit on the loop-carried chain.
+            let (w1, w2, w3) = (lane(block, 4), lane(block, 8), lane(block, 12));
+            let rest = (t[11][byte(w1, 0)] ^ t[10][byte(w1, 8)])
+                ^ (t[9][byte(w1, 16)] ^ t[8][byte(w1, 24)])
+                ^ (t[7][byte(w2, 0)] ^ t[6][byte(w2, 8)])
+                ^ (t[5][byte(w2, 16)] ^ t[4][byte(w2, 24)])
+                ^ (t[3][byte(w3, 0)] ^ t[2][byte(w3, 8)])
+                ^ (t[1][byte(w3, 16)] ^ t[0][byte(w3, 24)]);
+            let w0 = lane(block, 0) ^ c;
+            c = rest
+                ^ (t[15][byte(w0, 0)] ^ t[14][byte(w0, 8)])
+                ^ (t[13][byte(w0, 16)] ^ t[12][byte(w0, 24)]);
+        }
+        for &b in tail {
+            c = t[0][byte(c ^ u32::from(b), 0)] ^ (c >> 8);
+        }
+        self.register = c;
+    }
+
+    /// The checksum of every byte fed so far.
+    #[must_use]
+    pub const fn finish(self) -> u32 {
+        self.register ^ 0xFFFF_FFFF
+    }
+}
 
 /// CRC32 (IEEE) of `bytes` — the payload checksum of the frame.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 // --- encoding ----------------------------------------------------------
@@ -145,20 +242,19 @@ fn method_code(method: Option<QuantMethod>) -> u8 {
     }
 }
 
-fn encode_plan(plan: &ChipPlan) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    put_u64(&mut out, plan.bucket);
-    put_f64(&mut out, plan.plan.shift.volts());
+fn encode_plan(out: &mut Vec<u8>, plan: &ChipPlan) {
+    put_u64(out, plan.bucket);
+    put_f64(out, plan.plan.shift.volts());
     out.push(plan.plan.compression.alpha());
     out.push(plan.plan.compression.beta());
     out.push(match plan.plan.padding {
         Padding::Msb => 0,
         Padding::Lsb => 1,
     });
-    put_f64(&mut out, plan.plan.compressed_delay_ps);
-    put_f64(&mut out, plan.plan.constraint_ps);
+    put_f64(out, plan.plan.compressed_delay_ps);
+    put_f64(out, plan.plan.constraint_ps);
     put_u64(
-        &mut out,
+        out,
         u64::try_from(plan.plan.feasible_points).expect("usize fits u64"),
     );
     out.push(method_code(plan.method));
@@ -166,10 +262,9 @@ fn encode_plan(plan: &ChipPlan) -> Vec<u8> {
         None => out.push(0),
         Some(loss) => {
             out.push(1);
-            put_f64(&mut out, loss);
+            put_f64(out, loss);
         }
     }
-    out
 }
 
 fn encode_model(out: &mut Vec<u8>, model: &ModelSpec) -> Result<(), FleetError> {
@@ -315,92 +410,136 @@ fn encode_chip(
     Ok(())
 }
 
+/// The interned plan table: each distinct encoded plan once, in
+/// first-encounter order, and every chip's index into it.
+struct PlanTable {
+    ordered: Vec<Vec<u8>>,
+    chip_index: Vec<Option<u32>>,
+}
+
+/// Interns the chips' plans by their *encoded bytes*. Plans are not
+/// compared with `==`: `f64` equality holds for `-0.0` and `0.0`,
+/// which encode differently and must stay distinct table entries.
+/// Neighbouring chips usually share a bucket and so a plan, so the
+/// previous chip's index is reused before the table is searched, and
+/// a plan's bytes are copied only when they enter the table.
+fn intern_plans<'a>(
+    chips: impl Iterator<Item = ChipView<'a>>,
+    chip_count: usize,
+) -> Result<PlanTable, FleetError> {
+    let mut lookup: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
+    let mut ordered: Vec<Vec<u8>> = Vec::new();
+    let mut chip_index = Vec::with_capacity(chip_count);
+    let mut encoded = Vec::new();
+    let mut previous = Vec::new();
+    let mut previous_index = None;
+    for chip in chips {
+        let Some(plan) = chip.plan else {
+            chip_index.push(None);
+            continue;
+        };
+        encoded.clear();
+        encode_plan(&mut encoded, plan);
+        let index = match previous_index {
+            Some(idx) if previous == encoded => idx,
+            _ => {
+                let idx = match lookup.get(&encoded) {
+                    Some(&idx) => idx,
+                    None => {
+                        let idx = len_u32("distinct plan", ordered.len())?;
+                        lookup.insert(encoded.clone(), idx);
+                        ordered.push(encoded.clone());
+                        idx
+                    }
+                };
+                // This chip's bytes become `previous`; the old buffer
+                // is reused for the next chip's plan.
+                std::mem::swap(&mut previous, &mut encoded);
+                previous_index = Some(idx);
+                idx
+            }
+        };
+        chip_index.push(Some(index));
+    }
+    Ok(PlanTable {
+        ordered,
+        chip_index,
+    })
+}
+
 /// Encodes a complete checkpoint frame from borrowed chip views in id
 /// order — the single encoder behind both [`FleetState::to_binary`]
 /// and the shard-direct [`crate::FleetSim::checkpoint_binary`], so the
 /// two paths cannot drift byte-wise.
 ///
-/// Chip records and the interned plan table are built in one pass
-/// (first-encounter interning order is the iteration order, exactly as
-/// the state path has always written it), then spliced into the
-/// payload behind the config/epoch/RNG preamble.
+/// The frame is assembled in one buffer. A first pass over the chips
+/// interns the plan table (first-encounter order is the iteration
+/// order, exactly as the state path has always written it). The header
+/// goes out with a zero length field, then the config/epoch/RNG
+/// preamble and the plan table, then every chip record, written once
+/// and never copied; the length is back-patched and the CRC taken over
+/// the finished payload in place.
 pub(crate) fn encode_frame<'a>(
     config: &FleetConfig,
     epoch: u64,
     rng: &FleetRng,
     budget: Option<&BudgetState>,
-    chips: impl Iterator<Item = ChipView<'a>>,
+    chips: impl Iterator<Item = ChipView<'a>> + Clone,
     chip_count: usize,
 ) -> Result<Vec<u8>, FleetError> {
     let format = config.checkpoint_format();
     let with_mem = format >= CHECKPOINT_FORMAT_MEM;
     let with_autopilot = format >= CHECKPOINT_FORMAT_AUTOPILOT;
-    let mut table: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
-    let mut ordered: Vec<Vec<u8>> = Vec::new();
-    let mut chip_records = Vec::with_capacity(chip_count * 96);
-    let mut seen = 0usize;
-    for chip in chips {
-        seen += 1;
-        let plan_index = match chip.plan {
-            None => None,
-            Some(plan) => {
-                let encoded = encode_plan(plan);
-                let next = len_u32("distinct plan", ordered.len())?;
-                let idx = *table.entry(encoded.clone()).or_insert_with(|| {
-                    ordered.push(encoded);
-                    next
-                });
-                Some(idx)
-            }
-        };
-        encode_chip(
-            &mut chip_records,
-            &chip,
-            plan_index,
-            with_mem,
-            with_autopilot,
-        )?;
-    }
-    debug_assert_eq!(seen, chip_count, "chip iterator disagrees with count");
-
+    let plans = intern_plans(chips.clone(), chip_count)?;
+    debug_assert_eq!(
+        plans.chip_index.len(),
+        chip_count,
+        "chip iterator disagrees with count"
+    );
     let config_json = serde_json::to_string(config).expect("FleetConfig serializes");
-    let mut payload = Vec::with_capacity(64 + config_json.len() + chip_records.len());
-    put_u32(&mut payload, len_u32("config byte", config_json.len())?);
-    payload.extend_from_slice(config_json.as_bytes());
-    put_u64(&mut payload, epoch);
+    let plan_bytes: usize = plans.ordered.iter().map(Vec::len).sum();
+
+    let mut frame = Vec::with_capacity(
+        HEADER_LEN + config_json.len() + plan_bytes + chip_count * CHIP_RECORD_RESERVE,
+    );
+    frame.extend_from_slice(&MAGIC);
+    put_u32(&mut frame, format);
+    put_u64(&mut frame, 0);
+    put_u32(&mut frame, len_u32("config byte", config_json.len())?);
+    frame.extend_from_slice(config_json.as_bytes());
+    put_u64(&mut frame, epoch);
     for word in rng.state_words() {
-        put_u64(&mut payload, word);
+        put_u64(&mut frame, word);
     }
     if with_autopilot {
         // Format-4 frames carry the fleet telemetry-budget ledger
         // between the RNG words and the chip count.
         match budget {
-            None => payload.push(0),
+            None => frame.push(0),
             Some(b) => {
-                payload.push(1);
-                put_u64(&mut payload, b.tokens);
-                put_u64(&mut payload, b.granted);
-                put_u64(&mut payload, b.deferred);
-                put_u64(&mut payload, b.overdraft);
+                frame.push(1);
+                put_u64(&mut frame, b.tokens);
+                put_u64(&mut frame, b.granted);
+                put_u64(&mut frame, b.deferred);
+                put_u64(&mut frame, b.overdraft);
             }
         }
     }
-    put_u64(&mut payload, u64::try_from(seen).expect("usize fits u64"));
-    put_u32(&mut payload, len_u32("distinct plan", ordered.len())?);
-    for encoded in &ordered {
-        payload.extend_from_slice(encoded);
-    }
-    payload.extend_from_slice(&chip_records);
-
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    frame.extend_from_slice(&MAGIC);
-    put_u32(&mut frame, format);
     put_u64(
         &mut frame,
-        u64::try_from(payload.len()).expect("usize fits u64"),
+        u64::try_from(plans.chip_index.len()).expect("usize fits u64"),
     );
-    let checksum = crc32(&payload);
-    frame.extend_from_slice(&payload);
+    put_u32(&mut frame, len_u32("distinct plan", plans.ordered.len())?);
+    for encoded in &plans.ordered {
+        frame.extend_from_slice(encoded);
+    }
+    for (chip, &plan_index) in chips.zip(&plans.chip_index) {
+        encode_chip(&mut frame, &chip, plan_index, with_mem, with_autopilot)?;
+    }
+
+    let payload_len = u64::try_from(frame.len() - HEADER_LEN).expect("usize fits u64");
+    frame[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let checksum = crc32(&frame[HEADER_LEN..]);
     put_u32(&mut frame, checksum);
     Ok(frame)
 }
@@ -493,7 +632,13 @@ fn decode_method(code: u8) -> Result<Option<QuantMethod>, FleetError> {
 
 fn decode_plan(r: &mut Reader<'_>) -> Result<ChipPlan, FleetError> {
     let bucket = r.u64()?;
-    let shift = VthShift::from_volts(r.f64()?);
+    let volts = r.f64()?;
+    if !(volts.is_finite() && volts >= 0.0) {
+        return Err(FleetError::Malformed(format!(
+            "plan ΔVth {volts} V is not a finite, non-negative shift"
+        )));
+    }
+    let shift = VthShift::from_volts(volts);
     let alpha = r.u8()?;
     let beta = r.u8()?;
     let padding = match r.u8()? {
@@ -562,9 +707,14 @@ fn decode_model(r: &mut Reader<'_>) -> Result<ModelSpec, FleetError> {
     }
 }
 
+/// Decodes one chip record. `plans_seen` counts the table entries
+/// referenced so far: the encoder interns plans in chip order, so a
+/// chip may reference a seen plan or the next unseen one, never skip
+/// ahead.
 fn decode_chip(
     r: &mut Reader<'_>,
     plans: &[ChipPlan],
+    plans_seen: &mut usize,
     with_mem: bool,
     with_autopilot: bool,
 ) -> Result<Chip, FleetError> {
@@ -596,13 +746,21 @@ fn decode_chip(
     };
     let plan = match r.u32()? {
         NO_PLAN => None,
-        idx => Some(
-            *plans
-                .get(checked_count("plan index", u64::from(idx))?)
-                .ok_or_else(|| {
-                    FleetError::Malformed(format!("chip {id} references missing plan {idx}"))
-                })?,
-        ),
+        idx => {
+            let at = checked_count("plan index", u64::from(idx))?;
+            let plan = *plans.get(at).ok_or_else(|| {
+                FleetError::Malformed(format!("chip {id} references missing plan {idx}"))
+            })?;
+            if at > *plans_seen {
+                return Err(FleetError::Malformed(format!(
+                    "chip {id} references plan {idx} before plan {plans_seen}"
+                )));
+            }
+            if at == *plans_seen {
+                *plans_seen += 1;
+            }
+            Some(plan)
+        }
     };
     let mem = if with_mem {
         match r.u8()? {
@@ -749,6 +907,21 @@ impl FleetState {
             .map_err(|e| FleetError::Malformed(format!("config is not UTF-8: {e}")))?;
         let config: FleetConfig = serde_json::from_str(config_json)
             .map_err(|e| FleetError::Malformed(format!("config: {e}")))?;
+        // Every frame is the encoder's canonical output, so whatever
+        // decodes must re-encode to the same bytes: a config spelled
+        // differently, or one that implies another format, is refused
+        // instead of being silently normalized.
+        if serde_json::to_string(&config).expect("FleetConfig serializes") != config_json {
+            return Err(FleetError::Malformed(
+                "config is not in canonical form".into(),
+            ));
+        }
+        if config.checkpoint_format() != version {
+            return Err(FleetError::Malformed(format!(
+                "format-{version} frame holds a format-{} config",
+                config.checkpoint_format()
+            )));
+        }
         let epoch = r.u64()?;
         let rng = FleetRng::from_state_words([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
         let autopilot = if with_autopilot {
@@ -772,12 +945,34 @@ impl FleetState {
         let chip_count = checked_count("chip", r.u64()?)?;
         let plan_count = checked_count("distinct plan", u64::from(r.u32()?))?;
         let mut plans = Vec::with_capacity(r.capacity_for(plan_count, MIN_PLAN_RECORD));
+        let mut plan_records = BTreeSet::new();
         for _ in 0..plan_count {
+            let start = r.pos;
             plans.push(decode_plan(&mut r)?);
+            if !plan_records.insert(&payload[start..r.pos]) {
+                return Err(FleetError::Malformed(format!(
+                    "plan {} repeats an earlier plan",
+                    plans.len() - 1
+                )));
+            }
         }
         let mut chips = Vec::with_capacity(r.capacity_for(chip_count, MIN_CHIP_RECORD));
+        let mut plans_seen = 0;
         for _ in 0..chip_count {
-            chips.push(decode_chip(&mut r, &plans, with_mem, with_autopilot)?);
+            chips.push(decode_chip(
+                &mut r,
+                &plans,
+                &mut plans_seen,
+                with_mem,
+                with_autopilot,
+            )?);
+        }
+        if plans_seen != plans.len() {
+            return Err(FleetError::Malformed(format!(
+                "{} of {} plans are referenced by no chip",
+                plans.len() - plans_seen,
+                plans.len()
+            )));
         }
         if !r.done() {
             return Err(FleetError::Malformed(format!(
@@ -823,11 +1018,10 @@ mod tests {
     use super::*;
     use crate::sim::FleetSim;
 
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The canonical CRC32 test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn encoded_plan(plan: &ChipPlan) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_plan(&mut out, plan);
+        out
     }
 
     fn small_state() -> FleetState {
@@ -911,8 +1105,8 @@ mod tests {
             if let Some(plan) = &chip.plan {
                 let mut bare = *plan;
                 bare.accuracy_loss_pct = None;
-                assert_eq!(encode_plan(&bare).len(), MIN_PLAN_RECORD);
-                assert!(encode_plan(plan).len() >= MIN_PLAN_RECORD);
+                assert_eq!(encoded_plan(&bare).len(), MIN_PLAN_RECORD);
+                assert!(encoded_plan(plan).len() >= MIN_PLAN_RECORD);
             }
             let mut record = Vec::new();
             encode_chip(&mut record, &ChipView::of(chip), None, false, false).expect("encodes");
@@ -927,7 +1121,7 @@ mod tests {
             .chips
             .iter()
             .filter_map(|c| c.plan.as_ref())
-            .map(encode_plan)
+            .map(encoded_plan)
             .collect();
         let frame = state.to_binary().expect("encodes");
         // The plan table sits right after the fixed-size preamble and
@@ -937,5 +1131,135 @@ mod tests {
         let table_at = HEADER_LEN + 4 + config_len + 8 + 32 + 8;
         let count = u32::from_le_bytes(frame[table_at..table_at + 4].try_into().unwrap());
         assert_eq!(count as usize, distinct.len());
+    }
+
+    #[test]
+    fn plans_that_differ_only_in_the_sign_of_zero_stay_distinct() {
+        // `f64` equality calls -0.0 and 0.0 equal; the interning keys
+        // on encoded bytes, so both plans keep their own table entry.
+        let mut state = small_state();
+        let mut plan = state.chips[0].plan.expect("chip 0 holds a plan");
+        plan.accuracy_loss_pct = Some(0.0);
+        state.chips[0].plan = Some(plan);
+        plan.accuracy_loss_pct = Some(-0.0);
+        state.chips[1].plan = Some(plan);
+        let frame = state.to_binary().expect("encodes");
+        let back = FleetState::from_binary(&frame).expect("decodes");
+        let loss = |i: usize| back.chips[i].plan.and_then(|p| p.accuracy_loss_pct);
+        assert!(loss(0).is_some_and(|l| l.is_sign_positive()));
+        assert!(loss(1).is_some_and(|l| l.is_sign_negative()));
+        assert_eq!(back.to_binary().expect("re-encodes"), frame);
+    }
+
+    /// Offsets of each chip record's plan-index field in `frame`.
+    fn plan_index_offsets(state: &FleetState, frame: &[u8]) -> Vec<usize> {
+        let records: Vec<usize> = state
+            .chips
+            .iter()
+            .map(|chip| {
+                let mut record = Vec::new();
+                encode_chip(&mut record, &ChipView::of(chip), Some(0), false, false)
+                    .expect("encodes");
+                record.len()
+            })
+            .collect();
+        let mut at = frame.len() - 4 - records.iter().sum::<usize>();
+        records
+            .iter()
+            .map(|len| {
+                at += len;
+                at - 4
+            })
+            .collect()
+    }
+
+    fn restamped(mut frame: Vec<u8>) -> Vec<u8> {
+        let crc_at = frame.len() - 4;
+        let crc = crc32(&frame[HEADER_LEN..crc_at]);
+        frame[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        frame
+    }
+
+    /// Whether decoding `frame` fails as `Malformed` for the reason
+    /// named by `why`.
+    fn refused_for(frame: &[u8], why: &str) -> bool {
+        matches!(FleetState::from_binary(frame), Err(FleetError::Malformed(msg)) if msg.contains(why))
+    }
+
+    #[test]
+    fn frames_the_encoder_cannot_write_are_refused() {
+        let state = small_state();
+        let frame = state.to_binary().expect("encodes");
+        let index_at = plan_index_offsets(&state, &frame);
+        let index = |frame: &[u8], chip: usize| {
+            u32::from_le_bytes(
+                frame[index_at[chip]..index_at[chip] + 4]
+                    .try_into()
+                    .unwrap(),
+            )
+        };
+        let plans = 1
+            + (0..state.chips.len())
+                .map(|chip| index(&frame, chip))
+                .filter(|&i| i != NO_PLAN)
+                .max()
+                .expect("some chip holds a plan");
+        assert!(plans >= 2, "the fixture fleet interns several plans");
+        assert_eq!(index(&frame, 0), 0, "chip 0 interns plan 0");
+
+        // Plans 0 and 1 swapped in every chip record: every plan is
+        // still referenced, but plan 1 is referenced first.
+        let mut swapped = frame.clone();
+        for chip in 0..state.chips.len() {
+            let swap = match index(&frame, chip) {
+                0 => 1u32,
+                1 => 0,
+                _ => continue,
+            };
+            swapped[index_at[chip]..index_at[chip] + 4].copy_from_slice(&swap.to_le_bytes());
+        }
+        assert!(refused_for(&restamped(swapped), "before plan 0"));
+
+        // A plan no chip references.
+        let mut unused = frame.clone();
+        for chip in 0..state.chips.len() {
+            if index(&frame, chip) == plans - 1 {
+                unused[index_at[chip]..index_at[chip] + 4].copy_from_slice(&0u32.to_le_bytes());
+            }
+        }
+        assert!(refused_for(&restamped(unused), "referenced by no chip"));
+
+        // A plan table entry that repeats an earlier one.
+        let config_len =
+            u32::from_le_bytes(frame[HEADER_LEN..HEADER_LEN + 4].try_into().unwrap()) as usize;
+        let table_at = HEADER_LEN + 4 + config_len + 8 + 32 + 8 + 4;
+        let mut r = Reader::new(&frame[table_at..]);
+        decode_plan(&mut r).expect("plan 0 decodes");
+        let plan_len = r.pos;
+        decode_plan(&mut r).expect("plan 1 decodes");
+        assert_eq!(r.pos, 2 * plan_len, "plans 0 and 1 are the same size");
+        let mut repeated = frame.clone();
+        repeated.copy_within(table_at..table_at + plan_len, table_at + plan_len);
+        assert!(refused_for(&restamped(repeated), "repeats an earlier plan"));
+
+        // A config spelled other than the encoder spells it.
+        let config = std::str::from_utf8(&frame[HEADER_LEN + 4..HEADER_LEN + 4 + config_len])
+            .expect("UTF-8 config");
+        let spaced = config.replacen(':', ": ", 1);
+        let mut payload = Vec::new();
+        put_u32(&mut payload, len_u32("config byte", spaced.len()).unwrap());
+        payload.extend_from_slice(spaced.as_bytes());
+        payload.extend_from_slice(&frame[HEADER_LEN + 4 + config_len..frame.len() - 4]);
+        let mut respelled = frame[..HEADER_LEN].to_vec();
+        respelled[12..HEADER_LEN].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        respelled.extend_from_slice(&payload);
+        respelled.extend_from_slice(&[0; 4]);
+        assert!(refused_for(&restamped(respelled), "canonical"));
+
+        // A version the config does not imply (the header is outside
+        // the CRC, so no re-stamp).
+        let mut relabelled = frame.clone();
+        relabelled[8..12].copy_from_slice(&CHECKPOINT_FORMAT_MEM.to_le_bytes());
+        assert!(refused_for(&relabelled, "format-2 config"));
     }
 }

@@ -71,7 +71,7 @@ mod sim;
 mod swap;
 mod table;
 
-pub use checkpoint::{crc32, MAGIC};
+pub use checkpoint::{crc32, Crc32, MAGIC};
 pub use chip::{Chip, ChipMemState, ChipMode, ChipPlan, MissionKind};
 pub use decide::{Decider, Decision, MemoryAction};
 pub use error::{CorruptKind, FleetError};

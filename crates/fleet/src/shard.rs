@@ -283,8 +283,15 @@ impl FleetShard {
         (shift.millivolts(), Chip::bucket_of(shift, bucket_mv))
     }
 
-    /// Appends one event to the shard's journal segment.
+    /// Appends one event to the shard's journal segment, which stays
+    /// epoch-ascending ([`crate::FleetSim::journal_since`] searches it).
     pub(crate) fn push_event(&mut self, event: JournalEvent) {
+        debug_assert!(
+            self.journal
+                .last()
+                .is_none_or(|last| last.epoch <= event.epoch),
+            "shard journal must stay epoch-ascending"
+        );
         self.journal.push(event);
     }
 
@@ -332,7 +339,7 @@ impl FleetShard {
         match decider.memory_action(&state) {
             Some(MemoryAction::Reencode) => {
                 state.reencode();
-                self.journal.push(JournalEvent {
+                self.push_event(JournalEvent {
                     epoch,
                     chip: self.id[i],
                     kind: EventKind::Reencoded {
@@ -342,7 +349,7 @@ impl FleetShard {
             }
             Some(MemoryAction::Degrade) => {
                 state.degraded = true;
-                self.journal.push(JournalEvent {
+                self.push_event(JournalEvent {
                     epoch,
                     chip: self.id[i],
                     kind: EventKind::MemoryDegraded {
@@ -398,7 +405,7 @@ impl FleetShard {
 
     /// Journals chip `i` crossing from its current bucket to `to`.
     pub(crate) fn record_crossing(&mut self, i: usize, to: u64, epoch: u64) {
-        self.journal.push(JournalEvent {
+        self.push_event(JournalEvent {
             epoch,
             chip: self.id[i],
             kind: EventKind::BucketCrossed {
@@ -421,7 +428,7 @@ impl FleetShard {
         self.bucket[i] = bucket;
         match decision {
             Decision::Plan(plan) => {
-                self.journal.push(JournalEvent {
+                self.push_event(JournalEvent {
                     epoch,
                     chip: self.id[i],
                     kind: EventKind::Replanned {
@@ -436,7 +443,7 @@ impl FleetShard {
                 self.plan[i] = Some(*plan);
             }
             Decision::Degrade { .. } => {
-                self.journal.push(JournalEvent {
+                self.push_event(JournalEvent {
                     epoch,
                     chip: self.id[i],
                     kind: EventKind::Degraded { bucket },

@@ -1169,27 +1169,32 @@ impl FleetSim {
     /// because decisions are applied that way.
     #[must_use]
     pub fn journal(&self) -> Vec<JournalEvent> {
-        let total: usize = self.shards.iter().map(|s| s.journal().len()).sum();
-        let mut merged = Vec::with_capacity(total);
-        let mut cursors = vec![0usize; self.shards.len()];
-        for epoch in 0..=self.epoch {
-            for (shard, cursor) in self.shards.iter().zip(cursors.iter_mut()) {
+        self.journal_since(0)
+    }
+
+    /// The journaled events at epochs `>= epoch`, in [`FleetSim::journal`]
+    /// order. Shard journals are epoch-ascending, so each shard's tail
+    /// is found by binary search and only the tails are merged: the
+    /// cost is the events returned, not the history behind them.
+    #[must_use]
+    pub fn journal_since(&self, epoch: u64) -> Vec<JournalEvent> {
+        let mut merged: Vec<JournalEvent> = self
+            .shards
+            .iter()
+            .flat_map(|shard| {
                 let events = shard.journal();
-                while *cursor < events.len() && events[*cursor].epoch == epoch {
-                    merged.push(events[*cursor]);
-                    *cursor += 1;
-                }
-            }
-        }
-        debug_assert_eq!(merged.len(), total, "every shard event merged");
+                events[events.partition_point(|event| event.epoch < epoch)..].iter()
+            })
+            .copied()
+            .collect();
         // Canonical order: epoch-major, then chip-major, then push
-        // order (stable sort). Without this, a chip with both a MAC
-        // event and a memory event in one epoch would interleave
-        // differently at different shard counts: each shard journals
-        // its MAC pass before its memory pass, so the shard-major
-        // merge alone is not shard-count-invariant. Pre-memory
-        // journals are already in this order, so the sort is a no-op
-        // for them (pinned by the pre-memory fixture test).
+        // order (stable sort). A chip lives in exactly one shard, so
+        // its own events keep their push order; chip-major order is
+        // id order, the order decisions are applied in. Sorting by
+        // chip, not shard, keeps the order shard-count-invariant: each
+        // shard journals its MAC pass before its memory pass, so a
+        // chip with both a MAC and a memory event in one epoch would
+        // otherwise interleave differently at different shard counts.
         merged.sort_by_key(|event| (event.epoch, event.chip));
         merged
     }

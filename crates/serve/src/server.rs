@@ -131,8 +131,20 @@ struct Job {
 /// The hosted fleet plus its incremental journal cursor.
 struct FleetHost {
     sim: FleetSim,
+    /// The first epoch whose events are not yet in the journal file.
+    next_epoch: u64,
     /// Journal events already flushed to the journal file.
     flushed: usize,
+}
+
+impl FleetHost {
+    fn new(sim: FleetSim) -> Self {
+        FleetHost {
+            sim,
+            next_epoch: 0,
+            flushed: 0,
+        }
+    }
 }
 
 /// Prerendered `/v1/plan` response bodies for one model: index by
@@ -357,7 +369,7 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
         .local_addr()
         .map_err(|e| ServeError::Io(e.to_string()))?;
 
-    let mut host = FleetHost { sim, flushed: 0 };
+    let mut host = FleetHost::new(sim);
     if let Some(path) = &config.journal {
         // Each server run owns its journal file from epoch 0, so the
         // file alone satisfies the journal causality lint.
@@ -1036,26 +1048,41 @@ fn handle_telemetry(shared: &Shared, request: &TelemetryRequest) -> Response {
 }
 
 /// Appends journal events past the flushed cursor to the configured
-/// journal file.
-fn flush_journal(config: &ServeConfig, host: &mut FleetHost) -> Result<(), ServeError> {
+/// journal file, returning how many were appended.
+///
+/// The cursor is an epoch, not an event count: every event is pushed
+/// while `step` finishes its epoch, or at epoch 0 while the fleet is
+/// built, so once the events through the fleet's current epoch are
+/// flushed no earlier epoch gains another. Only the unflushed tail is
+/// merged, so a flush costs the events it writes, not the uptime.
+fn flush_journal(config: &ServeConfig, host: &mut FleetHost) -> Result<usize, ServeError> {
     let Some(path) = &config.journal else {
-        return Ok(());
+        return Ok(0);
     };
-    let events = host.sim.journal();
-    if host.flushed >= events.len() {
-        return Ok(());
+    let events = host.sim.journal_since(host.next_epoch);
+    debug_assert_eq!(
+        host.flushed + events.len(),
+        host.sim
+            .shards()
+            .iter()
+            .map(|shard| shard.journal().len())
+            .sum::<usize>(),
+        "a journal event landed at an already-flushed epoch"
+    );
+    if !events.is_empty() {
+        let text = journal::to_jsonl(&events);
+        use std::io::Write;
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
+        file.write_all(text.as_bytes())
+            .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
     }
-    let text = journal::to_jsonl(&events[host.flushed..]);
-    use std::io::Write;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
-    file.write_all(text.as_bytes())
-        .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
-    host.flushed = events.len();
-    Ok(())
+    host.next_epoch = host.sim.epoch() + 1;
+    host.flushed += events.len();
+    Ok(events.len())
 }
 
 /// Writes the hosted fleet's checkpoint, for post-run linting.
@@ -1191,4 +1218,51 @@ pub fn plan_response(decider: &Decider, decision: &Decision) -> Value {
         ));
     }
     obj(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One flush merges exactly the epoch it catches up on, whether
+    /// 2 or 40 epochs of history sit behind it.
+    #[test]
+    fn a_flush_merges_only_the_unflushed_epoch() {
+        let dir = std::env::temp_dir().join(format!("agequant-flush-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("journal.jsonl");
+        let config = ServeConfig {
+            journal: Some(path.to_string_lossy().into_owned()),
+            ..ServeConfig::default()
+        };
+        // An autopilot fleet journals its cadence grants every epoch.
+        let mut fleet_config = FleetConfig::new(8, 7);
+        fleet_config.epoch_years = 0.5;
+        fleet_config.autopilot = Some(AutopilotConfig::demo());
+        let mut host = FleetHost::new(FleetSim::new(fleet_config).expect("valid config"));
+        flush_journal(&config, &mut host).expect("flushes epoch 0");
+        for history in [2, 40] {
+            while host.sim.epoch() < history {
+                host.sim.step().expect("steps");
+                flush_journal(&config, &mut host).expect("flushes");
+            }
+            host.sim.step().expect("steps");
+            let epoch = host.sim.epoch();
+            let own = host
+                .sim
+                .journal()
+                .iter()
+                .filter(|event| event.epoch == epoch)
+                .count();
+            assert!(own > 0, "epoch {epoch} journals events");
+            let merged = flush_journal(&config, &mut host).expect("flushes");
+            assert_eq!(
+                merged, own,
+                "after {history} epochs of history, the flush merged more than epoch {epoch}"
+            );
+        }
+        let text = std::fs::read_to_string(&path).expect("journal file");
+        assert_eq!(text, journal::to_jsonl(&host.sim.journal()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

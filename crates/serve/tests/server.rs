@@ -449,6 +449,41 @@ fn telemetry_summary_metrics_and_artifacts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The journal file the server appends epoch by epoch is byte-identical
+/// to the whole merged journal of the same fleet run straight through.
+#[test]
+fn served_journal_file_matches_the_merged_journal() {
+    let dir = std::env::temp_dir().join(format!("agequant-serve-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = dir.join("journal.jsonl");
+    let config = ServeConfig {
+        journal: Some(journal.to_string_lossy().into_owned()),
+        ..test_config(16)
+    };
+    let handle = start(config, FleetConfig::new(16, 7)).expect("start");
+    let addr = addr_of(&handle);
+    for epoch in [1, 2, 5, 9, 10, 16] {
+        let (status, _, body) = request(
+            &addr,
+            "POST",
+            "/v1/telemetry",
+            Some(&format!("{{\"chip\": 3, \"epoch\": {epoch}}}")),
+        );
+        assert_eq!(status, 200, "{body}");
+    }
+    handle.shutdown_and_join();
+
+    let mut sim = agequant_fleet::FleetSim::new(FleetConfig::new(16, 7)).expect("valid config");
+    sim.run(16).expect("simulates");
+    let want = agequant_fleet::journal::to_jsonl(&sim.journal());
+    assert!(want.lines().any(|line| !line.contains("\"epoch\":0")));
+    assert_eq!(
+        std::fs::read_to_string(&journal).expect("journal file"),
+        want
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The weight-memory axis over the wire: `/v1/plan` gains a `memory`
 /// projection, `/v1/memory/summary` reports the hosted fleet's
 /// rollup, telemetry-driven epochs accrue re-encodes, and `/metrics`
