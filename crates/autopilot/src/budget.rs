@@ -1,6 +1,6 @@
 //! The fleet-wide telemetry token bucket.
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::config::AutopilotConfig;
 use crate::regime::Regime;
@@ -8,7 +8,7 @@ use crate::regime::Regime;
 /// The fleet-level budget ledger: the live token count plus lifetime
 /// counters, checkpointed with the fleet so a resumed run continues
 /// the same accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub struct BudgetState {
     /// Tokens currently in the bucket.
     pub tokens: u64,

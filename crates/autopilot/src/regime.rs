@@ -56,7 +56,7 @@ pub struct Observation {
 
 /// The controller's per-chip state: the current regime, the EWMA rate
 /// and residual estimates, and the sampling schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
 pub struct PilotState {
     /// Current supervision regime.
     pub regime: Regime,

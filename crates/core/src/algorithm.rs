@@ -282,7 +282,7 @@ impl AgingAwareQuantizer {
     /// The original single-threaded, uncached grid scan: characterizes
     /// the library and rebuilds the STA session on every call, then
     /// walks the grid in order. Kept as the reference implementation
-    /// the equivalence suite and the engine benches compare against.
+    /// the equivalence suite and the engine speed test compare against.
     #[must_use]
     pub fn feasible_compressions_serial(
         &self,

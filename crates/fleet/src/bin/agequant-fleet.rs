@@ -30,7 +30,8 @@
 //! checkpoint and continues. `report` re-renders the summary from
 //! the checkpoint alone. `migrate` converts a legacy `state.json`
 //! checkpoint (any supported format version) into `state.bin` in
-//! place.
+//! place; it is the only reader of the JSON form, and it refuses to
+//! run when `state.bin` already exists.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -77,7 +78,9 @@ fn usage() -> &'static str {
      budget of --budget messages/epoch (burst capacity --burst); with\n\
      --resume it arms the controller on the existing checkpoint (any\n\
      format vintage) and continues from there. migrate rewrites a\n\
-     legacy state.json checkpoint as the binary state.bin format.\n"
+     legacy state.json checkpoint as the binary state.bin format\n\
+     (refusing when state.bin already exists); every other command\n\
+     reads state.bin only.\n"
 }
 
 fn parse_network(name: &str) -> Result<Option<NetArch>, String> {
@@ -138,16 +141,10 @@ fn append_file(path: &Path, contents: &str) -> Result<(), FleetError> {
         .map_err(|e| FleetError::Io(format!("{}: {e}", path.display())))
 }
 
-/// Loads `DIR/state.bin` when present, falling back to a legacy
-/// `DIR/state.json`. Both paths go through [`FleetState::load`], which
-/// sniffs the format and checks the binary frame's checksum.
+/// Loads `DIR/state.bin` through [`FleetState::load`], which checks
+/// the frame's checksum.
 fn read_state(dir: &Path) -> Result<FleetState, FleetError> {
-    let binary = dir.join("state.bin");
-    let path = if binary.exists() {
-        binary
-    } else {
-        dir.join("state.json")
-    };
+    let path = dir.join("state.bin");
     let bytes = fs::read(&path).map_err(|e| FleetError::Io(format!("{}: {e}", path.display())))?;
     FleetState::load(&bytes).map_err(|e| match e {
         FleetError::Corrupt(kind) => {
@@ -169,13 +166,6 @@ fn finish(sim: &FleetSim, common: &CommonOpts, append_journal: bool) -> Result<(
     }
     // Shard-direct encode: no intermediate Vec<Chip> of the fleet.
     persist::atomic_write(&common.out.join("state.bin"), &sim.checkpoint_binary()?)?;
-    // A successfully written binary checkpoint supersedes any legacy
-    // JSON one; leaving both would make a later resume ambiguous.
-    let legacy = common.out.join("state.json");
-    if legacy.exists() {
-        fs::remove_file(&legacy)
-            .map_err(|e| FleetError::Io(format!("{}: {e}", legacy.display())))?;
-    }
     let summary = sim.summary();
     persist::atomic_write(
         &common.out.join("summary.json"),
@@ -423,6 +413,15 @@ fn cmd_migrate(args: &[String]) -> Result<(), String> {
             return Ok(());
         }
         return Err(format!("{}: no checkpoint to migrate", legacy.display()));
+    }
+    if binary.exists() {
+        // The binary checkpoint is the one every other subcommand
+        // advances; an older JSON file must not replace it.
+        return Err(format!(
+            "{} already exists next to {}; refusing to overwrite it (move one of them away)",
+            binary.display(),
+            legacy.display()
+        ));
     }
     let text = fs::read_to_string(&legacy).map_err(|e| format!("{}: {e}", legacy.display()))?;
     // from_json upgrades old checkpoint format versions on load, so

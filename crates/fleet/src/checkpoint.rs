@@ -1,9 +1,9 @@
 //! The versioned, checksummed binary checkpoint format.
 //!
-//! JSON checkpoints scale linearly in *text*: at a million chips the
-//! pretty-printed tree runs to gigabytes and most of the bytes are
-//! field names. The binary format keeps the same logical content in a
-//! single length-prefixed frame:
+//! The legacy JSON checkpoints scaled linearly in *text*: at a million
+//! chips the pretty-printed tree ran to gigabytes and most of the bytes
+//! were field names. The binary format keeps the same logical content
+//! in a single length-prefixed frame:
 //!
 //! ```text
 //! offset  size  field
@@ -22,8 +22,7 @@
 //!
 //! Every multi-byte integer is little-endian; every `f64` is stored as
 //! its IEEE-754 bit pattern (`to_bits`), so encode→decode is exact and
-//! a binary round trip is bit-identical — the same contract the JSON
-//! checkpoints already meet.
+//! a binary round trip is bit-identical.
 //!
 //! The payload holds the config (as canonical JSON — it is small and
 //! schema-bearing), the epoch, the RNG state words, a deduplicated
@@ -40,9 +39,9 @@
 //! record once, back-patches the length and appends the CRC. No record
 //! is copied after it is written.
 //!
-//! [`FleetState::load`] sniffs the magic and falls back to the JSON
-//! parser (including its format-1 migration), so every historical
-//! checkpoint still loads; [`FleetState::from_binary`] reports
+//! [`FleetState::load`] reads frames only; the legacy JSON form is
+//! read by `agequant-fleet migrate` alone, through
+//! [`FleetState::from_json`]. [`FleetState::from_binary`] reports
 //! structural damage as typed [`CorruptKind`] values rather than a
 //! parse error soup. The CRC is verified before anything is parsed.
 //! Past it, a frame either fails as a typed error or decodes to a
@@ -990,26 +989,26 @@ impl FleetState {
         })
     }
 
-    /// Loads a checkpoint of either format: binary frames are decoded
-    /// by [`FleetState::from_binary`]; anything else is treated as a
-    /// JSON checkpoint and goes through [`FleetState::from_json`],
-    /// including its format-1 migration. This is what every tool
+    /// Loads a checkpoint: a binary frame, decoded by
+    /// [`FleetState::from_binary`]. This is what every tool
     /// (`agequant-fleet`, `agequant-lint`, the serve host) loads
-    /// through, so pre-binary checkpoints keep working everywhere.
+    /// through. A legacy JSON checkpoint is refused here; `agequant-fleet
+    /// migrate` converts it into a frame.
     ///
     /// # Errors
     ///
-    /// Propagates the format-specific parse error; bytes that are
-    /// neither a frame nor UTF-8 text report as
-    /// [`FleetError::Malformed`].
+    /// Bytes that do not start with [`MAGIC`] report as
+    /// [`FleetError::Malformed`], naming `agequant-fleet migrate`; a
+    /// damaged frame reports as [`FleetError::Corrupt`].
     pub fn load(bytes: &[u8]) -> Result<Self, FleetError> {
-        if bytes.starts_with(&MAGIC) {
-            return Self::from_binary(bytes);
+        if !bytes.starts_with(&MAGIC) {
+            return Err(FleetError::Malformed(
+                "checkpoint is not a binary AGQFLEET frame; convert a legacy JSON \
+                 checkpoint with `agequant-fleet migrate`"
+                    .into(),
+            ));
         }
-        let text = std::str::from_utf8(bytes).map_err(|_| {
-            FleetError::Malformed("checkpoint is neither a binary frame nor UTF-8 JSON".into())
-        })?;
-        Self::from_json(text)
+        Self::from_binary(bytes)
     }
 }
 
@@ -1043,20 +1042,18 @@ mod tests {
     }
 
     #[test]
-    fn load_dispatches_on_the_magic() {
+    fn load_reads_frames_and_refuses_everything_else() {
         let state = small_state();
         let frame = state.to_binary().expect("encodes");
         assert_eq!(FleetState::load(&frame).expect("binary loads"), state);
-        let json = state.to_json();
-        assert_eq!(
-            FleetState::load(json.as_bytes()).expect("json loads"),
-            state
-        );
+        let json = include_bytes!("../tests/fixtures/checkpoint-v2.json");
         let garbage = [0xFFu8, 0xFE, 0x00, 0x01];
-        assert!(matches!(
-            FleetState::load(&garbage),
-            Err(FleetError::Malformed(_))
-        ));
+        for bytes in [&json[..], &garbage[..], &[]] {
+            assert!(matches!(
+                FleetState::load(bytes),
+                Err(FleetError::Malformed(msg)) if msg.contains("agequant-fleet migrate")
+            ));
+        }
     }
 
     fn autopilot_state() -> FleetState {

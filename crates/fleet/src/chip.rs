@@ -13,13 +13,13 @@
 use agequant_aging::{DegradationModel, MissionProfile, ModelSpec, Phase, TechProfile, VthShift};
 use agequant_core::CompressionPlan;
 use agequant_quant::QuantMethod;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::rng::FleetRng;
 
 /// The mission-profile catalog: coarse deployment archetypes chips are
 /// drawn from (each instance additionally gets per-chip jitter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub enum MissionKind {
     /// Always-on datacenter inference: high utilization, hot.
     DatacenterAlwaysOn,
@@ -121,7 +121,7 @@ const EOL_JITTER: f64 = 0.10;
 const EXPONENT_JITTER: f64 = 0.06;
 
 /// How a chip is currently closing timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub enum ChipMode {
     /// Timing is met by the planned `(α, β)` input compression at the
     /// fleet's constraint — the paper's guardband-free operation.
@@ -142,7 +142,7 @@ pub enum ChipMode {
 /// is evaluated at the larger of the two, so it is monotone
 /// non-decreasing over the mission — re-encoding never heals damage,
 /// it only redirects further accumulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
 pub struct ChipMemState {
     /// Polarity re-encodes completed so far.
     pub reencodes: u32,
@@ -185,7 +185,7 @@ impl ChipMemState {
 /// The plan a chip currently executes, as recorded in checkpoints and
 /// reports: the engine's [`CompressionPlan`] plus the quantization
 /// method selected for it (when method selection is enabled).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
 pub struct ChipPlan {
     /// The aging bucket the plan was made for.
     pub bucket: u64,
@@ -226,34 +226,6 @@ pub struct Chip {
     ///
     /// [`FleetConfig::autopilot`]: crate::FleetConfig::autopilot
     pub pilot: Option<agequant_autopilot::PilotState>,
-}
-
-// Hand-written so a memory-disabled fleet serializes byte-identically
-// to the pre-memory format and an autopilot-disabled fleet to the
-// pre-autopilot format: the `mem` and `pilot` keys are emitted only
-// when their axis is enabled, unlike the derive's unconditional
-// `"mem": null`. Field order and the `"plan": null` behavior match
-// the old derive exactly; `Deserialize` stays derived (a missing
-// `mem`/`pilot` reads as `None`).
-impl Serialize for Chip {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("id".to_string(), self.id.to_value()),
-            ("kind".to_string(), self.kind.to_value()),
-            ("model".to_string(), self.model.to_value()),
-            ("profile".to_string(), self.profile.to_value()),
-            ("bucket".to_string(), self.bucket.to_value()),
-            ("mode".to_string(), self.mode.to_value()),
-            ("plan".to_string(), self.plan.to_value()),
-        ];
-        if let Some(mem) = &self.mem {
-            fields.push(("mem".to_string(), mem.to_value()));
-        }
-        if let Some(pilot) = &self.pilot {
-            fields.push(("pilot".to_string(), pilot.to_value()));
-        }
-        serde::Value::Map(fields)
-    }
 }
 
 impl Chip {

@@ -24,16 +24,19 @@
 //!   characterizations ([`CacheStats`] proves it).
 //! * [`FleetState`] — full checkpoint (config, epoch, RNG state,
 //!   every chip) for bit-identical resume, as a versioned checksummed
-//!   binary frame ([`FleetState::to_binary`]) or legacy JSON, written
-//!   crash-safely through [`persist`]; [`journal`] — append-only
+//!   binary frame ([`FleetState::to_binary`], read back by
+//!   [`FleetState::load`]), written crash-safely through [`persist`].
+//!   Legacy JSON checkpoints are read only by `agequant-fleet migrate`
+//!   ([`FleetState::from_json`]); [`journal`] — append-only
 //!   JSON-lines event log (replans, bucket crossings, guardband
 //!   degradations).
 //! * [`FleetSummary`] — plan-distribution and bucket histograms,
 //!   accuracy-loss percentiles, cache hit rates (aggregate and split
 //!   per degradation model).
 //!
-//! The `agequant-fleet` binary exposes `run` / `resume` / `report`
-//! subcommands over these pieces, and `agequant-lint` checks
+//! The `agequant-fleet` binary exposes `run` / `resume` /
+//! `autopilot` / `report` / `migrate` subcommands over these pieces,
+//! and `agequant-lint` checks
 //! checkpoints (FL001) and journals (FL002).
 //!
 //! # Example

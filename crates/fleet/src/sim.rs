@@ -257,27 +257,6 @@ pub struct FleetState {
     pub autopilot: Option<BudgetState>,
 }
 
-// Hand-written for the same reason as `FleetConfig`: the `autopilot`
-// key is emitted only when the closed loop is armed, so every fleet
-// without it keeps serializing byte-identically to the pre-autopilot
-// format. Field order matches the old derive; `Deserialize` stays
-// derived (a missing `autopilot` reads as `None`).
-impl Serialize for FleetState {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("format".to_string(), self.format.to_value()),
-            ("config".to_string(), self.config.to_value()),
-            ("epoch".to_string(), self.epoch.to_value()),
-            ("rng".to_string(), self.rng.to_value()),
-            ("chips".to_string(), self.chips.to_value()),
-        ];
-        if let Some(autopilot) = &self.autopilot {
-            fields.push(("autopilot".to_string(), autopilot.to_value()));
-        }
-        Value::Map(fields)
-    }
-}
-
 impl FleetState {
     /// Arms the closed loop on a loaded state: installs `autopilot`
     /// into the embedded config, enrolls every chip that does not
@@ -300,19 +279,12 @@ impl FleetState {
         self.config.autopilot = Some(autopilot);
         self.format = Some(self.config.checkpoint_format());
     }
-    /// Serializes the state as pretty-printed JSON — the checkpoint
-    /// format. Byte-deterministic for a given state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization fails (the state is plain data, so it
-    /// cannot).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("FleetState serializes")
-    }
 
-    /// Parses a checkpoint produced by [`FleetState::to_json`].
+    /// Parses a legacy JSON checkpoint (any format vintage: the text
+    /// form written before every checkpoint became a binary frame),
+    /// migrating a format-1 tree on the way. `agequant-fleet migrate`
+    /// is the one caller: it converts such a file into a binary frame,
+    /// the only checkpoint format the runtime reads or writes.
     ///
     /// # Errors
     ///
@@ -978,9 +950,9 @@ impl FleetSim {
     /// Chips currently running a compressed plan whose *ground-truth*
     /// bucket is at or past `infeasible_from` — chips that crossed the
     /// degrade threshold without the controller noticing. The
-    /// autopilot's acceptance bar is zero of these at every epoch;
-    /// the bench and the CI smoke hold it there. A pure column scan:
-    /// no decider involvement, so auditing cannot perturb cache
+    /// autopilot's acceptance bar is zero of these at every epoch, and
+    /// `tests/autopilot.rs` holds it there at 4096 chips. A pure column
+    /// scan: no decider involvement, so auditing cannot perturb cache
     /// counters or the characterization record.
     #[must_use]
     pub fn undetected_degrades(&self, infeasible_from: u64) -> usize {
@@ -1409,18 +1381,21 @@ mod tests {
 
         // And a saved migrated state is already format 2: re-loading
         // it is a pure round-trip, no second migration.
-        let round = FleetState::from_json(&migrated.to_json()).expect("round-trips");
+        let frame = migrated.to_binary().expect("encodes");
+        let round = FleetState::load(&frame).expect("round-trips");
         assert_eq!(round, migrated);
     }
 
-    /// Format-2 checkpoints pass through `from_json` untouched.
+    /// Format-2 checkpoint trees pass through the migration untouched.
     #[test]
-    fn current_checkpoints_round_trip_without_migration() {
-        let sim = FleetSim::new(tiny_config()).expect("valid config");
-        let state = sim.to_state();
+    fn format_two_trees_are_not_migrated() {
+        let text = include_str!("../tests/fixtures/checkpoint-v2.json");
+        let tree: Value = serde_json::from_str(text).expect("fixture parses");
+        let mut migrated = tree.clone();
+        migrate_checkpoint(&mut migrated).expect("migrates");
+        assert_eq!(migrated, tree);
+        let state = FleetState::from_json(text).expect("fixture loads");
         assert_eq!(state.format, Some(CHECKPOINT_FORMAT));
-        let back = FleetState::from_json(&state.to_json()).expect("parses");
-        assert_eq!(back, state);
     }
 
     /// The shard partition covers every chip for any requested count,

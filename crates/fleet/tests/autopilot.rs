@@ -85,6 +85,61 @@ fn autopilot_saves_telemetry_without_missing_a_degrade() {
     assert!(summary.render_text().contains("autopilot:"));
 }
 
+/// The efficiency claim at scale: 4096 chips over a 120-year mission
+/// in half-year epochs, with the timing constraint tightened so part of
+/// the population crosses the degrade threshold late in life. A budget
+/// of one tenth of fixed cadence must send at least 10× fewer messages
+/// than polling every chip every epoch, and the audit after *every*
+/// epoch must find no compressed chip past the threshold unnoticed.
+#[test]
+fn autopilot_at_a_tenth_of_fixed_cadence_misses_no_degrade() {
+    let chips = 4096u64;
+    let epochs = 240u64;
+    let mut config = FleetConfig::new(u32::try_from(chips).expect("fits"), 7);
+    config.constraint_factor = 0.45;
+    let mut pilot = AutopilotConfig::demo();
+    pilot.budget_messages_per_epoch = (chips / 10).max(1);
+    pilot.budget_burst = (chips / 5).max(2);
+    // Enter Intervene two bucket-halvings out, so each predictable
+    // crossing resolves in two samples; quiet chips check in once per
+    // 32 years, and the horizon caps own boundary detection.
+    pilot.intervene_horizon_epochs = 8;
+    pilot.calm_cadence_epochs = 64;
+    pilot.watch_cadence_epochs = 8;
+    config.autopilot = Some(pilot);
+
+    let mut sim = FleetSim::new(config).expect("valid config");
+    let mut audited = 0u64;
+    for _ in 0..epochs {
+        sim.run(1).expect("simulates");
+        // The threshold is whatever the decider has proven infeasible
+        // so far; before any chip approaches it there is nothing to
+        // audit.
+        if let Some(threshold) = sim.decider().min_infeasible_bucket() {
+            audited += 1;
+            let missed = sim.undetected_degrades(threshold);
+            assert_eq!(
+                missed,
+                0,
+                "epoch {}: {missed} chip(s) crossed bucket {threshold} undetected",
+                sim.epoch()
+            );
+        }
+    }
+    assert!(audited > 0, "the mission never reached a degrade threshold");
+
+    let granted = sim
+        .summary()
+        .autopilot
+        .expect("armed simulator reports an autopilot summary")
+        .messages_granted;
+    let savings = (chips * epochs) as f64 / granted.max(1) as f64;
+    assert!(
+        savings >= 10.0,
+        "autopilot sent {granted} messages, only {savings:.1}× fewer than fixed cadence"
+    );
+}
+
 /// Every shard count produces the same checkpoint bytes, the same
 /// merged journal, and the same summary: the grant loop runs in
 /// regime-priority then id order off a pre-pass snapshot, so worker

@@ -1,8 +1,8 @@
 //! Sharding-equivalence and checkpoint-robustness guarantees.
 //!
 //! The struct-of-arrays sharded simulator must be an *implementation
-//! detail*: every observable byte — checkpoint JSON, binary frame,
-//! merged journal, summary (including the engine cache counters) —
+//! detail*: every observable byte — binary checkpoint frame, merged
+//! journal, summary (including the engine cache counters) —
 //! must be identical at every shard count, and resume must be
 //! bit-identical no matter which shard counts the two legs used. The
 //! binary checkpoint must also fail loudly, with a typed error naming
@@ -10,8 +10,8 @@
 
 use agequant_fleet::{journal, CorruptKind, FleetConfig, FleetError, FleetSim, FleetState, MAGIC};
 
-/// Every shard count produces the same checkpoint JSON, the same
-/// binary frame, the same merged journal, and the same summary —
+/// Every shard count produces the same state, the same binary frame,
+/// the same merged journal, and the same summary —
 /// including the engine cache hit/miss counters, which pin the
 /// decision order itself.
 #[test]
@@ -21,7 +21,6 @@ fn shard_count_never_changes_an_observable_byte() {
     let mut reference = FleetSim::new_sharded(config.clone(), 1).expect("valid config");
     reference.run(8).expect("simulates");
     let want_state = reference.to_state();
-    let want_json = want_state.to_json();
     let want_frame = want_state.to_binary().expect("encodes");
     let want_journal = journal::to_jsonl(&reference.journal());
     let want_summary = reference.summary().to_json();
@@ -30,9 +29,9 @@ fn shard_count_never_changes_an_observable_byte() {
         let mut sim = FleetSim::new_sharded(config.clone(), shards).expect("valid config");
         sim.run(8).expect("simulates");
         assert_eq!(
-            sim.to_state().to_json(),
-            want_json,
-            "{shards}-shard checkpoint JSON diverged from the serial run"
+            sim.to_state(),
+            want_state,
+            "{shards}-shard state diverged from the serial run"
         );
         assert_eq!(
             sim.to_state().to_binary().expect("encodes"),
@@ -138,11 +137,11 @@ fn corrupted_binary_checkpoints_fail_with_typed_errors() {
         CorruptKind::TrailingBytes { extra: 3 }
     ));
 
-    // Through the sniffing loader, a non-magic prefix falls back to
-    // the JSON path and reports Malformed rather than BadMagic.
+    // Through the loader, a non-magic prefix is not a frame at all:
+    // it reports Malformed, pointing at the JSON migration.
     assert!(matches!(
         FleetState::load(&bad_magic),
-        Err(FleetError::Malformed(_))
+        Err(FleetError::Malformed(msg)) if msg.contains("agequant-fleet migrate")
     ));
 }
 
@@ -171,20 +170,19 @@ fn format_one_json_migrates_through_to_binary() {
 }
 
 /// The committed format-2 JSON fixture (the last JSON-format
-/// checkpoint we shipped) loads through the sniffing loader and
-/// matches a fresh run — this is the fixture CI feeds to
-/// `agequant-fleet migrate`.
+/// checkpoint we shipped) parses through `from_json` and matches a
+/// fresh run — this is the fixture CI feeds to `agequant-fleet
+/// migrate`. The runtime loader refuses it.
 #[test]
-fn format_two_json_fixture_loads_and_matches_a_fresh_run() {
+fn format_two_json_fixture_parses_and_matches_a_fresh_run() {
     let v2 = include_str!("fixtures/checkpoint-v2.json");
-    let state = FleetState::load(v2.as_bytes()).expect("format-2 JSON loads");
+    let state = FleetState::from_json(v2).expect("format-2 JSON parses");
 
     let mut fresh = FleetSim::new(FleetConfig::new(8, 2021)).expect("valid config");
     fresh.run(3).expect("simulates");
     assert_eq!(state, fresh.to_state(), "fixture matches the fresh run");
-    assert_eq!(
-        v2.trim_end(),
-        fresh.to_state().to_json().trim_end(),
-        "fixture bytes pin the current JSON encoding"
-    );
+    assert!(matches!(
+        FleetState::load(v2.as_bytes()),
+        Err(FleetError::Malformed(msg)) if msg.contains("agequant-fleet migrate")
+    ));
 }

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use agequant_fleet::{ChipMode, EventKind, FleetConfig, FleetSim, FleetState};
 
 /// Checkpoint/resume is bit-identical: running straight to epoch 10
-/// and running to epoch 4, serializing, restoring, and running the
+/// and running to epoch 4, checkpointing, restoring, and running the
 /// remaining 6 epochs produce byte-identical checkpoints and the same
 /// journal (the resumed journal appends onto the pre-checkpoint one).
 #[test]
@@ -19,20 +19,20 @@ fn resume_is_bit_identical_to_uninterrupted_run() {
 
     let mut first_leg = FleetSim::new(config).expect("valid config");
     first_leg.run(4).expect("simulates");
-    let checkpoint = first_leg.to_state().to_json();
-    let restored = FleetState::from_json(&checkpoint).expect("checkpoint parses");
+    let checkpoint = first_leg.checkpoint_binary().expect("encodes");
+    let restored = FleetState::load(&checkpoint).expect("checkpoint loads");
     assert_eq!(
         restored,
         first_leg.to_state(),
-        "JSON round-trip is lossless"
+        "checkpoint round-trip is lossless"
     );
 
     let mut second_leg = FleetSim::resume(restored).expect("resumes");
     second_leg.run(6).expect("simulates");
 
     assert_eq!(
-        second_leg.to_state().to_json(),
-        straight.to_state().to_json(),
+        second_leg.checkpoint_binary().expect("encodes"),
+        straight.checkpoint_binary().expect("encodes"),
         "resumed checkpoint is byte-identical"
     );
 

@@ -133,8 +133,9 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Loads a fleet checkpoint in either format: the binary `AGQFLEET`
-/// frame (magic-sniffed, checksum-verified) or legacy JSON.
+/// Loads a fleet checkpoint: the binary `AGQFLEET` frame,
+/// checksum-verified. A legacy JSON checkpoint is refused with a
+/// pointer to `agequant-fleet migrate`.
 fn read_fleet_state(path: &str) -> Result<FleetState, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     FleetState::load(&bytes).map_err(|e| format!("{path}: {e}"))

@@ -12,7 +12,8 @@
 //! The process prints `listening on ADDR` once ready, then blocks
 //! until `POST /v1/shutdown` drains it. `--write-config` saves the
 //! effective [`ServeConfig`] artifact (what lint SV001 checks);
-//! `--checkpoint` saves the hosted fleet's final state at drain so
+//! `--checkpoint` saves the hosted fleet's final state at drain, as a
+//! binary checkpoint frame whatever the file's extension, so
 //! `agequant-lint --fleet-state ... --fleet-journal ...` can verify
 //! the journal the server wrote.
 

@@ -1085,31 +1085,23 @@ fn flush_journal(config: &ServeConfig, host: &mut FleetHost) -> Result<usize, Se
     Ok(events.len())
 }
 
-/// Writes the hosted fleet's checkpoint, for post-run linting.
-///
-/// A `.bin` path gets the versioned, checksummed binary frame; any
-/// other extension gets the legacy JSON form. Either way the write is
-/// atomic (temp file + rename), so a crash mid-write cannot destroy a
-/// previous checkpoint at the same path.
+/// Writes the hosted fleet's checkpoint, for post-run linting: the
+/// versioned, checksummed binary frame, whatever the path's extension.
+/// The write is atomic (temp file + rename), so a crash mid-write
+/// cannot destroy a previous checkpoint at the same path.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Io`] when the file cannot be written.
 pub fn write_checkpoint(handle: &ServerHandle, path: &str) -> Result<(), ServeError> {
     let host = handle.shared.fleet.lock().expect("unpoisoned fleet");
-    let bytes = if std::path::Path::new(path)
-        .extension()
-        .is_some_and(|e| e == "bin")
-    {
-        // Shard-direct encode: skips materializing a Vec<Chip> of the
-        // whole hosted fleet while the fleet lock is held.
-        host.sim
-            .checkpoint_binary()
-            .map_err(|e| ServeError::Io(format!("{path}: {e}")))?
-    } else {
-        host.sim.to_state().to_json().into_bytes()
-    };
-    agequant_fleet::persist::atomic_write(std::path::Path::new(path), &bytes)
+    // Shard-direct encode: skips materializing a Vec<Chip> of the
+    // whole hosted fleet while the fleet lock is held.
+    let frame = host
+        .sim
+        .checkpoint_binary()
+        .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
+    agequant_fleet::persist::atomic_write(std::path::Path::new(path), &frame)
         .map_err(|e| ServeError::Io(format!("{path}: {e}")))
 }
 

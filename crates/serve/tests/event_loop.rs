@@ -2,91 +2,16 @@
 //! pipelining byte-identity, the wire-speed table counters, the
 //! central idle keep-alive sweep, and a many-idle-connection drain.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+mod common;
+
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use agequant_aging::{VthShift, AGING_SWEEP_MV};
 use agequant_fleet::{Decider, FleetConfig};
-use agequant_serve::{plan_response, start, ServeConfig, ServerHandle};
-
-fn test_config(chips: u32) -> ServeConfig {
-    ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        fleet_chips: chips,
-        fleet_seed: 7,
-        ..ServeConfig::default()
-    }
-}
-
-fn addr_of(handle: &ServerHandle) -> String {
-    handle.addr().to_string()
-}
-
-/// Reads one keep-alive response off `reader`, returning
-/// `(status, headers, body)`.
-fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, HashMap<String, String>, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let mut headers = HashMap::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line.split_once(':').expect("header colon");
-        headers.insert(name.trim().to_lowercase(), value.trim().to_string());
-    }
-    let length: usize = headers
-        .get("content-length")
-        .expect("content-length")
-        .parse()
-        .expect("numeric length");
-    let mut body = vec![0u8; length];
-    reader.read_exact(&mut body).expect("body");
-    (status, headers, String::from_utf8(body).expect("utf-8"))
-}
-
-/// One-shot `connection: close` request, for control-plane calls.
-fn request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, HashMap<String, String>, String) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let mut writer = stream.try_clone().expect("clone");
-    let body = body.unwrap_or("");
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut reader = BufReader::new(stream);
-    read_response(&mut reader)
-}
-
-/// The value of a single-line Prometheus series, from `/metrics` text.
-fn metric_value(metrics: &str, series: &str) -> Option<f64> {
-    metrics.lines().find_map(|line| {
-        let rest = line.strip_prefix(series)?;
-        let rest = rest.strip_prefix(' ')?;
-        rest.parse().ok()
-    })
-}
+use agequant_serve::{plan_response, start, ServeConfig};
+use common::{addr_of, metric_value, read_response, request, test_config};
 
 /// A pipelined burst — many requests written before any response is
 /// read — must answer every request, in order, with exactly the bytes
@@ -278,7 +203,7 @@ fn idle_keep_alive_connections_are_swept() {
 /// Hundreds of idle keep-alive connections cost the server an open
 /// socket each — no thread stacks — and a drain closes every one of
 /// them promptly. (The 10k-connection memory-flatness assertion runs
-/// in `BENCH_serve`, where the fd budget is controlled.)
+/// in the `wire_floor` test binary, which has the process to itself.)
 #[test]
 fn many_idle_connections_report_and_drain_cleanly() {
     let handle = start(test_config(4), FleetConfig::new(4, 7)).expect("start");
