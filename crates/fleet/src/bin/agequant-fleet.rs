@@ -142,9 +142,20 @@ fn append_file(path: &Path, contents: &str) -> Result<(), FleetError> {
 }
 
 /// Loads `DIR/state.bin` through [`FleetState::load`], which checks
-/// the frame's checksum.
+/// the frame's checksum. A directory holding only a legacy
+/// `state.json` is refused with a pointer to `agequant-fleet migrate`.
 fn read_state(dir: &Path) -> Result<FleetState, FleetError> {
     let path = dir.join("state.bin");
+    let legacy = dir.join("state.json");
+    if !path.exists() && legacy.exists() {
+        return Err(FleetError::Malformed(format!(
+            "{} is a legacy JSON checkpoint and {} is missing; convert it with \
+             `agequant-fleet migrate --out {}`",
+            legacy.display(),
+            path.display(),
+            dir.display()
+        )));
+    }
     let bytes = fs::read(&path).map_err(|e| FleetError::Io(format!("{}: {e}", path.display())))?;
     FleetState::load(&bytes).map_err(|e| match e {
         FleetError::Corrupt(kind) => {

@@ -263,6 +263,29 @@ fn pre_autopilot_fixture_arms_and_resumes_as_format_four() {
     );
 }
 
+/// The format-4 JSON checkpoint fixture (written by the JSON writer
+/// that autopilot runs used before every checkpoint became a binary
+/// frame) still parses, through the `agequant-fleet migrate` read
+/// path, to the fresh run's state — pilot states, budget ledger and
+/// memory records included.
+#[test]
+fn format_four_json_fixture_parses_and_matches_a_fresh_run() {
+    let state = FleetState::from_json(include_str!("fixtures/checkpoint-v4.json"))
+        .expect("format-4 JSON checkpoint parses");
+    assert_eq!(state.format, Some(CHECKPOINT_FORMAT_AUTOPILOT));
+    assert!(state.autopilot.is_some(), "the budget ledger is carried");
+    assert!(state
+        .chips
+        .iter()
+        .all(|c| c.pilot.is_some() && c.mem.is_some()));
+
+    let mut config = autopilot_config(8, 2021);
+    config.memory = Some(agequant_mem::MemoryConfig::demo());
+    let mut fresh = FleetSim::new(config).expect("valid config");
+    fresh.run(10).expect("simulates");
+    assert_eq!(state, fresh.to_state(), "fixture matches the fresh run");
+}
+
 /// An invalid autopilot configuration is rejected up front with the
 /// violations spelled out, not discovered mid-mission.
 #[test]

@@ -215,6 +215,23 @@ fn format_three_fixture_matches_a_fresh_run() {
     );
 }
 
+/// The format-3 JSON checkpoint fixture (written by the JSON writer
+/// that memory-enabled `agequant-serve` runs used before every
+/// checkpoint became a binary frame) still parses, through the
+/// `agequant-fleet migrate` read path, to the fresh run's state —
+/// every per-chip memory record included.
+#[test]
+fn format_three_json_fixture_parses_and_matches_a_fresh_run() {
+    let state = FleetState::from_json(include_str!("fixtures/checkpoint-v3.json"))
+        .expect("format-3 JSON checkpoint parses");
+    assert_eq!(state.format, Some(CHECKPOINT_FORMAT_MEM));
+    assert!(state.chips.iter().all(|c| c.mem.is_some()));
+
+    let mut fresh = FleetSim::new(memory_config(8, 2021)).expect("valid config");
+    fresh.run(10).expect("simulates");
+    assert_eq!(state, fresh.to_state(), "fixture matches the fresh run");
+}
+
 /// EQUIVALENCE GUARD — with memory disabled, every observable byte of
 /// a fleet run (binary frame, journal, summary) is identical to the
 /// committed pre-memory fixtures, and its state equals the one the
