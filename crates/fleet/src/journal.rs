@@ -10,7 +10,7 @@
 use agequant_autopilot::Regime;
 use agequant_quant::QuantMethod;
 use agequant_sta::Padding;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::FleetError;
 
@@ -109,15 +109,27 @@ pub struct JournalEvent {
 /// Renders events as JSON-lines text (one event per line, trailing
 /// newline after every line) — the append-friendly on-disk format.
 ///
+/// A guardbanded chip has no timing boundary left, so its
+/// [`EventKind::RegimeChanged`] journals `margin_mv: f64::INFINITY`.
+/// JSON has no lexeme for infinity: that one leaf is written as
+/// `null`, which [`from_jsonl`] reads back as `f64::INFINITY`. Every
+/// other event renders exactly as its derived encoding.
+///
 /// # Panics
 ///
-/// Panics if serialization fails (events contain only plain data, so
-/// it cannot).
+/// Panics if an event holds a NaN or a negative infinity, which JSON
+/// cannot represent and the simulator never journals.
 #[must_use]
 pub fn to_jsonl(events: &[JournalEvent]) -> String {
     let mut out = String::new();
     for event in events {
-        out.push_str(&serde_json::to_string(event).expect("JournalEvent serializes"));
+        let mut value = event.to_value();
+        if let Some(leaf) = margin_leaf(&mut value) {
+            if *leaf == Value::Float(f64::INFINITY) {
+                *leaf = Value::Null;
+            }
+        }
+        out.push_str(&serde_json::to_string(&value).expect("journal floats are finite"));
         out.push('\n');
     }
     out
@@ -133,10 +145,37 @@ pub fn from_jsonl(text: &str) -> Result<Vec<JournalEvent>, FleetError> {
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
         .map(|(idx, line)| {
-            serde_json::from_str(line)
-                .map_err(|e| FleetError::Malformed(format!("journal line {}: {e}", idx + 1)))
+            let malformed = |e: serde::Error| FleetError::Malformed(format!("journal line {}: {e}", idx + 1));
+            let mut value: Value = serde_json::from_str(line).map_err(malformed)?;
+            if let Some(leaf) = margin_leaf(&mut value) {
+                if *leaf == Value::Null {
+                    *leaf = Value::Float(f64::INFINITY);
+                }
+            }
+            JournalEvent::from_value(&value).map_err(malformed)
         })
         .collect()
+}
+
+/// The `margin_mv` leaf of a serialized [`EventKind::RegimeChanged`]
+/// event — the one journaled float that can be infinite.
+fn margin_leaf(event: &mut Value) -> Option<&mut Value> {
+    let Value::Map(fields) = event else {
+        return None;
+    };
+    let (_, kind) = fields.iter_mut().find(|(key, _)| key == "kind")?;
+    let Value::Map(variant) = kind else {
+        return None;
+    };
+    let [(name, Value::Map(body))] = variant.as_mut_slice() else {
+        return None;
+    };
+    if name != "RegimeChanged" {
+        return None;
+    }
+    body.iter_mut()
+        .find(|(key, _)| key == "margin_mv")
+        .map(|(_, leaf)| leaf)
 }
 
 #[cfg(test)]
@@ -182,6 +221,33 @@ mod tests {
         let all = events();
         let text = format!("{}{}", to_jsonl(&all[..1]), to_jsonl(&all[1..]));
         assert_eq!(from_jsonl(&text).expect("parses"), all);
+    }
+
+    fn regime_change(margin_mv: f64) -> JournalEvent {
+        JournalEvent {
+            epoch: 9,
+            chip: 4,
+            kind: EventKind::RegimeChanged {
+                from: Regime::Calm,
+                to: Regime::Intervene,
+                rate_mv_per_epoch: 0.25,
+                margin_mv,
+            },
+        }
+    }
+
+    #[test]
+    fn an_infinite_margin_round_trips_as_null() {
+        let events = vec![regime_change(f64::INFINITY), regime_change(3.5)];
+        let text = to_jsonl(&events);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].contains(r#""margin_mv":null"#), "{}", lines[0]);
+        // A finite margin keeps its plain derived encoding.
+        assert_eq!(
+            lines[1],
+            serde_json::to_string(&events[1]).expect("finite event serializes")
+        );
+        assert_eq!(from_jsonl(&text).expect("parses"), events);
     }
 
     #[test]

@@ -699,6 +699,33 @@ fn ap001_fires_on_unphysical_autopilot_checkpoints() {
     assert!(!checkpoint_codes(&plain).contains(&"AP001".to_string()));
 }
 
+/// A guardbanded chip's regime change journals an infinite margin,
+/// written to JSONL as `null`. Read back, AP002 replays it exactly.
+#[test]
+fn ap002_replays_guardbanded_regime_changes_read_back_from_jsonl() {
+    use agequant_fleet::{journal, AutopilotConfig, EventKind, FleetConfig, FleetSim};
+
+    let mut config = FleetConfig::new(1200, 3);
+    config.constraint_factor = 0.45;
+    config.memory = Some(agequant_mem::MemoryConfig::demo());
+    let mut pilot = AutopilotConfig::demo();
+    pilot.budget_messages_per_epoch = 120;
+    pilot.budget_burst = 240;
+    pilot.intervene_horizon_epochs = 8;
+    pilot.calm_cadence_epochs = 64;
+    pilot.watch_cadence_epochs = 8;
+    config.autopilot = Some(pilot);
+    let mut sim = FleetSim::new(config).expect("valid config");
+    sim.run(64).expect("simulates");
+
+    let events = journal::from_jsonl(&journal::to_jsonl(&sim.journal())).expect("parses");
+    assert!(events.iter().any(|e| matches!(
+        e.kind,
+        EventKind::RegimeChanged { margin_mv, .. } if margin_mv == f64::INFINITY
+    )));
+    assert!(!journal_codes(&sim.to_state(), &events).contains(&"AP002".to_string()));
+}
+
 #[test]
 fn ap002_fires_on_acausal_cadence_journals() {
     use agequant_fleet::{EventKind, Regime};
