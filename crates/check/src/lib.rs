@@ -42,7 +42,8 @@
 //! fall back to the real `std` primitives inside the same types, so
 //! mutual exclusion remains sound even for hybrid workloads — they
 //! just don't participate in schedule exploration. [`par_map`], the
-//! workspace's one data-parallel map, spawns through the facade.
+//! workspace's one data-parallel map, spawns through the facade;
+//! [`par_map_mut`] is the same map over items lent mutably.
 
 #[cfg(any(feature = "model", agequant_model))]
 mod model;
@@ -121,9 +122,28 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     done.into_iter().map(|(_, result)| result).collect()
 }
 
+/// [`par_map`] over mutable items: maps `f` over `items` in parallel,
+/// each item lent mutably to exactly one worker, and returns the
+/// results in input order.
+///
+/// Each item sits behind its own plain `std` mutex, locked once by the
+/// worker that claimed it, so this is `par_map` itself: the same claim,
+/// the same inline path for zero or one item or one core, and the same
+/// panic propagation.
+pub fn par_map_mut<T: Send, R: Send>(items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R> {
+    use std::sync::Mutex;
+
+    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    par_map(&slots, |slot| {
+        f(&mut slot
+            .lock()
+            .expect("each item is claimed once, so never poisoned"))
+    })
+}
+
 #[cfg(test)]
 mod tests {
-    use super::par_map;
+    use super::{par_map, par_map_mut};
 
     #[test]
     fn results_keep_input_order_under_uneven_costs() {
@@ -137,6 +157,48 @@ mod tests {
             x * x
         });
         assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn mutable_items_are_updated_in_place_and_results_keep_order() {
+        let mut items: Vec<u64> = (0..37).collect();
+        let out = par_map_mut(&mut items, |x| {
+            if *x % 5 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            *x *= 3;
+            *x + 1
+        });
+        assert_eq!(items, (0..37).map(|x| x * 3).collect::<Vec<_>>());
+        assert_eq!(out, (0..37).map(|x| x * 3 + 1).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_single_mutable_item_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let mut items = [7u32];
+        let out = par_map_mut(&mut items, |x| {
+            *x += 1;
+            std::thread::current().id()
+        });
+        assert_eq!((items, out), ([8], vec![caller]));
+    }
+
+    #[test]
+    fn a_panic_in_a_mutable_map_propagates() {
+        let mut items: Vec<u32> = (0..16).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map_mut(&mut items, |x| {
+                assert!(*x != 11, "item {x} failed");
+                *x
+            })
+        }));
+        let payload = caught.expect_err("the panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(msg, "item 11 failed");
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //!    unfiltered, in scan order (Algorithm 1 lines 2–4). A timing
 //!    constraint is only a filter over this list, so every constraint
 //!    asked at one level shares one scan.
-//! 4. **Compression plans** — `(model_key, ΔVth, constraint) →
+//! 4. **Compression plans** — `model_key → (ΔVth, constraint) →
 //!    CompressionPlan`, an O(1) answer for a repeated query (the
 //!    fleet's per-chip decisions, the `archs × levels` sweeps of the
-//!    accuracy trajectory). A plan miss selects from the cached scan;
-//!    only a scan miss runs STA.
+//!    accuracy trajectory). Keyed by model first, so a hit borrows the
+//!    key and allocates nothing. A plan miss selects from the cached
+//!    scan; only a scan miss runs STA.
 //!
 //! The model key enters every cache key because two models with
 //! different technology profiles derate the same ΔVth to different
@@ -74,8 +75,10 @@ use crate::{CompressionPlan, FeasiblePoint};
 /// A library/load cache key: model identity plus quantized shift.
 type ModelShiftKey = (String, i64);
 
-/// A plan-cache key: model identity, quantized shift, constraint bits.
-type PlanKey = (String, i64, u64);
+/// A plan-cache key within one model's plans: quantized shift and
+/// constraint bits. The plan cache is keyed by model first, so a hit
+/// looks the model up by `&str` and allocates nothing.
+type PlanKey = (i64, u64);
 
 /// Cache-effectiveness counters, for benches and reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -148,6 +151,14 @@ impl ModelCounters {
     }
 }
 
+/// One model's plan-cache entries, next to its counter bundle so a hit
+/// takes one lock.
+#[derive(Debug)]
+struct ModelPlans {
+    counters: Arc<ModelCounters>,
+    plans: HashMap<PlanKey, CompressionPlan>,
+}
+
 /// Memoized per-(model, ΔVth) evaluation state shared by all flow
 /// entry points.
 ///
@@ -158,7 +169,7 @@ pub struct EvalEngine {
     libraries: RwLock<HashMap<ModelShiftKey, Arc<CellLibrary>>>,
     loads: RwLock<HashMap<ModelShiftKey, Arc<Vec<f64>>>>,
     scans: RwLock<HashMap<ModelShiftKey, Arc<[FeasiblePoint]>>>,
-    plans: RwLock<HashMap<PlanKey, CompressionPlan>>,
+    plans: RwLock<HashMap<String, ModelPlans>>,
     counters: RwLock<BTreeMap<String, Arc<ModelCounters>>>,
 }
 
@@ -350,23 +361,22 @@ impl EvalEngine {
         shift: VthShift,
         constraint_ps: f64,
     ) -> Option<CompressionPlan> {
-        let key = (
-            model_key.to_string(),
-            Self::shift_key(shift),
-            constraint_ps.to_bits(),
-        );
-        let found = self
-            .plans
-            .read()
-            .expect("unpoisoned plan cache")
-            .get(&key)
-            .copied();
-        let counters = self.counters(model_key);
-        if found.is_some() {
-            counters.plan_hits.fetch_add(1, Ordering::Relaxed);
+        let key = (Self::shift_key(shift), constraint_ps.to_bits());
+        let plans = self.plans.read().expect("unpoisoned plan cache");
+        let Some(model) = plans.get(model_key) else {
+            drop(plans);
+            self.counters(model_key)
+                .plan_misses
+                .fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let found = model.plans.get(&key).copied();
+        let counter = if found.is_some() {
+            &model.counters.plan_hits
         } else {
-            counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-        }
+            &model.counters.plan_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
@@ -383,14 +393,17 @@ impl EvalEngine {
         constraint_ps: f64,
         plan: CompressionPlan,
     ) {
-        let key = (
-            model_key.to_string(),
-            Self::shift_key(shift),
-            constraint_ps.to_bits(),
-        );
+        let key = (Self::shift_key(shift), constraint_ps.to_bits());
+        let counters = self.counters(model_key);
         self.plans
             .write()
             .expect("unpoisoned plan cache")
+            .entry(model_key.to_string())
+            .or_insert_with(|| ModelPlans {
+                counters,
+                plans: HashMap::new(),
+            })
+            .plans
             .insert(key, plan);
     }
 

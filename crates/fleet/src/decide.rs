@@ -378,20 +378,7 @@ impl Decider {
         let prob = config
             .cell
             .failure_prob_at_exposure(state.worst_stress_years());
-        if prob >= config.degrade_threshold {
-            return Some(MemoryAction::Degrade);
-        }
-        // A re-encode only helps while the accruing side leads the
-        // spare side by a material margin — right after a toggle the
-        // spare side holds the maximum, and flipping again before the
-        // gap re-opens would churn the budget for no levelling gain.
-        // The gap is what spaces flips into a periodic schedule.
-        let useful_reencode = state.reencodes < config.max_reencodes
-            && state.stress_active_years - state.stress_spare_years >= config.reencode_gap_years;
-        if prob >= config.reencode_threshold && useful_reencode {
-            return Some(MemoryAction::Reencode);
-        }
-        None
+        memory_action_at(config, state, prob)
     }
 
     /// The smallest bucket proven infeasible under the default
@@ -434,6 +421,30 @@ impl Decider {
             .planned_order
             .clone()
     }
+}
+
+/// The memory-axis rule of [`Decider::memory_action`] for a chip that
+/// is not memory-degraded, at its already evaluated worst-bit failure
+/// probability `prob`.
+pub(crate) fn memory_action_at(
+    config: &MemoryConfig,
+    state: &ChipMemState,
+    prob: f64,
+) -> Option<MemoryAction> {
+    if prob >= config.degrade_threshold {
+        return Some(MemoryAction::Degrade);
+    }
+    // A re-encode only helps while the accruing side leads the spare
+    // side by a material margin — right after a toggle the spare side
+    // holds the maximum, and flipping again before the gap re-opens
+    // would churn the budget for no levelling gain. The gap is what
+    // spaces flips into a periodic schedule.
+    let useful_reencode = state.reencodes < config.max_reencodes
+        && state.stress_active_years - state.stress_spare_years >= config.reencode_gap_years;
+    if prob >= config.reencode_threshold && useful_reencode {
+        return Some(MemoryAction::Reencode);
+    }
+    None
 }
 
 #[cfg(test)]

@@ -145,7 +145,8 @@ pub fn from_jsonl(text: &str) -> Result<Vec<JournalEvent>, FleetError> {
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
         .map(|(idx, line)| {
-            let malformed = |e: serde::Error| FleetError::Malformed(format!("journal line {}: {e}", idx + 1));
+            let malformed =
+                |e: serde::Error| FleetError::Malformed(format!("journal line {}: {e}", idx + 1));
             let mut value: Value = serde_json::from_str(line).map_err(malformed)?;
             if let Some(leaf) = margin_leaf(&mut value) {
                 if *leaf == Value::Null {

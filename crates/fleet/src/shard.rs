@@ -26,11 +26,11 @@
 //! surrogate table keeps delegating to the spec).
 
 use agequant_aging::{MissionProfile, ModelSpec, NbtiModel, VthShift};
-use agequant_autopilot::PilotState;
+use agequant_autopilot::{PilotState, Regime};
 use agequant_mem::MemoryConfig;
 
 use crate::chip::{Chip, ChipMemState, ChipMode, ChipPlan, MissionKind};
-use crate::decide::{Decider, Decision, MemoryAction};
+use crate::decide::{memory_action_at, Decider, Decision, MemoryAction};
 use crate::journal::{EventKind, JournalEvent};
 use crate::rng::FleetRng;
 
@@ -82,6 +82,30 @@ impl HotKinetics {
             HotKinetics::Cold => model.shift_at(t),
         }
     }
+}
+
+/// A chip due for a telemetry sample, as snapshotted before any of the
+/// epoch's samples: the priority class it requests under, the epoch of
+/// its last sample, and its index in the shard.
+pub(crate) type DueChip = (Regime, u64, usize);
+
+/// What a granted telemetry sample reads from the chip's own columns:
+/// the ground-truth ΔVth and its bucket, and the memory axis's action
+/// with the memory pressure left after it. Probes are pure, so the
+/// simulator computes them per shard in parallel and applies them
+/// serially.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe {
+    /// The chip's index in its shard.
+    pub(crate) index: usize,
+    /// Ground-truth ΔVth, mV.
+    pub(crate) mv: f64,
+    /// The bucket `mv` truly sits in.
+    pub(crate) true_bucket: u64,
+    /// The memory action the sample orders, if any.
+    pub(crate) memory: Option<MemoryAction>,
+    /// Memory pressure after that action, in `[0, 1]`.
+    pub(crate) mem_pressure: f64,
 }
 
 /// A contiguous id range of the fleet in struct-of-arrays layout:
@@ -309,7 +333,9 @@ impl FleetShard {
     ) {
         self.accrue_memory(config, epoch_years);
         for i in 0..self.len() {
-            self.apply_memory_action(decider, epoch, i);
+            if let Some(action) = self.mem[i].and_then(|state| decider.memory_action(&state)) {
+                self.apply_memory_action(epoch, i, action);
+            }
         }
     }
 
@@ -329,53 +355,119 @@ impl FleetShard {
         }
     }
 
-    /// The decision half of the memory axis for one chip: applies the
-    /// decider's memory action, journaling re-encodes and memory
-    /// degradations.
-    pub(crate) fn apply_memory_action(&mut self, decider: &Decider, epoch: u64, i: usize) {
-        let Some(mut state) = self.mem[i] else {
+    /// The decision half of the memory axis for one chip: applies
+    /// `action`, journaling the re-encode or memory degradation.
+    pub(crate) fn apply_memory_action(&mut self, epoch: u64, i: usize, action: MemoryAction) {
+        let Some(state) = self.mem[i].as_mut() else {
             return;
         };
-        match decider.memory_action(&state) {
-            Some(MemoryAction::Reencode) => {
+        let kind = match action {
+            MemoryAction::Reencode => {
                 state.reencode();
-                self.push_event(JournalEvent {
-                    epoch,
-                    chip: self.id[i],
-                    kind: EventKind::Reencoded {
-                        count: state.reencodes,
-                    },
-                });
+                EventKind::Reencoded {
+                    count: state.reencodes,
+                }
             }
-            Some(MemoryAction::Degrade) => {
+            MemoryAction::Degrade => {
                 state.degraded = true;
-                self.push_event(JournalEvent {
-                    epoch,
-                    chip: self.id[i],
-                    kind: EventKind::MemoryDegraded {
-                        reencodes: state.reencodes,
-                    },
-                });
+                EventKind::MemoryDegraded {
+                    reencodes: state.reencodes,
+                }
             }
-            None => {}
-        }
-        self.mem[i] = Some(state);
+        };
+        self.push_event(JournalEvent {
+            epoch,
+            chip: self.id[i],
+            kind,
+        });
     }
 
-    /// Weight-memory pressure for the autopilot: the worst-bit failure
-    /// probability over the degrade threshold, clamped to `[0, 1]`.
-    /// Zero when the axis is off or the chip's memory already degraded
-    /// — a failed axis has nothing left to protect, so it must not pin
-    /// the chip in Intervene forever.
-    pub(crate) fn mem_pressure(&self, i: usize, config: &MemoryConfig) -> f64 {
-        match &self.mem[i] {
-            Some(state) if !state.degraded => {
+    /// Every enrolled chip due for a sample at `epoch`, in index order,
+    /// with the priority class it requests under. A chip whose own
+    /// last-known rate projects it past its recorded bucket's edge has
+    /// likely already crossed while waiting, and a chip that has never
+    /// taken a real reading (ΔVth is strictly positive once any time
+    /// has passed) cannot be rationed on knowledge it does not have.
+    /// Both request at Intervene priority regardless of their resting
+    /// regime, so sustained budget pressure can delay quiet chips but
+    /// never park a chip on a stale plan across a boundary, and every
+    /// enrolled chip gets its baseline read.
+    pub(crate) fn due_chips(&self, epoch: u64, bucket_mv: f64) -> Vec<DueChip> {
+        let mut due = Vec::new();
+        for (i, pilot) in self.pilot.iter().enumerate() {
+            let pilot = pilot.expect("autopilot fleets enroll every chip");
+            if !pilot.due(epoch) {
+                continue;
+            }
+            #[allow(clippy::cast_precision_loss)]
+            let projected_mv = pilot.last_mv
+                + pilot.rate_mv_per_epoch * epoch.saturating_sub(pilot.last_epoch) as f64;
+            let never_measured =
+                epoch >= 1 && pilot.last_mv <= 0.0 && pilot.rate_mv_per_epoch <= 0.0;
+            #[allow(clippy::cast_precision_loss)]
+            let overrun = !self.is_guardband(i)
+                && (never_measured
+                    || projected_mv >= (self.bucket[i].saturating_add(1)) as f64 * bucket_mv);
+            let class = if overrun {
+                Regime::Intervene
+            } else {
+                pilot.regime
+            };
+            due.push((class, pilot.last_epoch, i));
+        }
+        due
+    }
+
+    /// Reads what a granted sample of chip `i` at `years` reveals (see
+    /// [`Probe`]). The worst-bit failure probability is evaluated once
+    /// and serves both the memory action and the pressure; a chip whose
+    /// memory degrades on this sample, or already had, reports zero
+    /// pressure — a failed axis has nothing left to protect, so it must
+    /// not pin the chip in Intervene forever.
+    pub(crate) fn probe(
+        &self,
+        i: usize,
+        years: f64,
+        bucket_mv: f64,
+        memory: Option<&MemoryConfig>,
+    ) -> Probe {
+        let (mv, true_bucket) = self.observe(i, years, bucket_mv);
+        let (action, mem_pressure) = match (memory, &self.mem[i]) {
+            (Some(config), Some(state)) if !state.degraded => {
                 let prob = config
                     .cell
                     .failure_prob_at_exposure(state.worst_stress_years());
-                (prob / config.degrade_threshold).clamp(0.0, 1.0)
+                let action = memory_action_at(config, state, prob);
+                let pressure = if action == Some(MemoryAction::Degrade) {
+                    0.0
+                } else {
+                    (prob / config.degrade_threshold).clamp(0.0, 1.0)
+                };
+                (action, pressure)
             }
-            _ => 0.0,
+            _ => (None, 0.0),
+        };
+        Probe {
+            index: i,
+            mv,
+            true_bucket,
+            memory: action,
+            mem_pressure,
+        }
+    }
+
+    /// Slips each deferred chip's sample to the next epoch and journals
+    /// the deferral, so starvation is auditable, never silent.
+    pub(crate) fn defer_samples(&mut self, deferred: &[(usize, Regime)], epoch: u64) {
+        for &(i, regime) in deferred {
+            let mut pilot = self.pilot[i].expect("due chip has a pilot");
+            pilot.next_epoch = epoch + 1;
+            self.pilot[i] = Some(pilot);
+            self.push_event(JournalEvent {
+                epoch,
+                chip: self.id[i],
+                kind: EventKind::CadenceDeferred { regime },
+            });
         }
     }
 

@@ -17,6 +17,16 @@
 //! the engine's [`CacheStats`] measure that leverage rather than
 //! assuming it.
 //!
+//! What runs in parallel is what touches only one chip's own columns
+//! and journals into its own shard: the physics pass, the memory pass
+//! and, in the closed loop (see [`FleetConfig::autopilot`]), memory
+//! wear, the due-chip snapshot, the probes of granted samples and the
+//! deferrals. What stays serial is what is shared or ordered across
+//! the fleet: every decider call (the engine's counters and the
+//! decider's memo order are observable), the telemetry budget ledger
+//! (grant order decides who is starved), and the regime machine with
+//! its journal pushes, all in the one order an unsharded run takes.
+//!
 //! A chip whose bucket admits no feasible compression *degrades
 //! gracefully*: it falls back to a conventional guardbanded clock
 //! (journaled as [`EventKind::Degraded`]) and is never replanned
@@ -27,9 +37,11 @@
 //! [`EvalEngine`]: agequant_core::EvalEngine
 //! [`EventKind::Degraded`]: crate::journal::EventKind::Degraded
 
-use agequant_check::par_map;
 use agequant_check::sync::Arc;
-use std::collections::BTreeMap;
+use agequant_check::{par_map, par_map_mut};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use agequant_aging::{ModelSpec, NbtiPowerLaw, TechProfile, VthShift};
 use agequant_autopilot::{AutopilotConfig, BudgetState, Grant, Observation, Regime};
@@ -43,7 +55,7 @@ use crate::decide::Decider;
 use crate::journal::{EventKind, JournalEvent};
 use crate::report::{FleetSummary, ModelCacheSummary};
 use crate::rng::FleetRng;
-use crate::shard::FleetShard;
+use crate::shard::{DueChip, FleetShard, Probe};
 use crate::FleetError;
 
 /// Configuration of a fleet run.
@@ -659,7 +671,10 @@ impl FleetSim {
     /// pure physics pass, fanned out per shard), then replans exactly
     /// the chips that crossed into a new bucket — serially, in
     /// shard-major order, so decision order and cache counters match
-    /// an unsharded run exactly.
+    /// an unsharded run exactly — and last runs the memory pass, per
+    /// shard in parallel. A closed-loop fleet steps through
+    /// `step_autopilot` instead: parallel per-shard passes around a
+    /// serial ledger-and-decision spine.
     ///
     /// # Errors
     ///
@@ -694,11 +709,12 @@ impl FleetSim {
             // The memory pass runs after the epoch's replans, so the
             // stress a chip accrues this epoch is shaped by the plan
             // it actually executes. Pure threshold arithmetic — no
-            // engine, no RNG — applied in shard order, so journals
-            // stay bit-identical across shard counts.
-            for shard in &mut self.shards {
-                shard.step_memory(&self.decider, memory, epoch, self.config.epoch_years);
-            }
+            // engine, no RNG — on each chip's own columns, journaled
+            // into its own shard, so it runs per shard in parallel.
+            let (decider, epoch_years) = (&*self.decider, self.config.epoch_years);
+            par_map_mut(&mut self.shards, |shard| {
+                shard.step_memory(decider, memory, epoch, epoch_years);
+            });
         }
         self.epoch = epoch;
         Ok(())
@@ -717,130 +733,147 @@ impl FleetSim {
     /// deferred gains seniority with every epoch it waits, so budget
     /// pressure spreads staleness across the class instead of
     /// starving whichever chips happen to sort last.
+    ///
+    /// The epoch runs as five passes. The three that touch only one
+    /// chip's own columns run per shard in parallel; the two that
+    /// touch shared state — the ledger, the decider's memos and cache
+    /// counters, the regime machine's journal order — run serially:
+    ///
+    /// 1. *accrue and snapshot* (per shard): memory wear, then every
+    ///    due chip with the class and sample history it held before
+    ///    this epoch's samples, so priority cannot depend on order;
+    /// 2. *rank and ledger* (serial): a merge of the shards' ranked
+    ///    snapshots into (class, last-sample epoch, id) order, with one
+    ///    budget request per chip in that order;
+    /// 3. *probe* (per shard): each granted chip's ground truth and
+    ///    memory verdict;
+    /// 4. *apply grants* (serial, in grant order): crossings and
+    ///    decisions, memory actions, the regime machine, and the
+    ///    Watch prefetch or Intervene push;
+    /// 5. *apply deferrals* (per shard). An empty bucket defers every
+    ///    later Watch or Calm request and Intervene ranks first, so
+    ///    every grant precedes every deferral and each shard journals
+    ///    exactly the events, in the order, of the one serial loop.
     fn step_autopilot(
         &mut self,
         autopilot: &AutopilotConfig,
         epoch: u64,
         years: f64,
     ) -> Result<(), FleetError> {
-        if let Some(memory) = &self.config.memory {
-            // Wear never waits for a sample: stress accrues every
-            // epoch; only the *decisions* (re-encode, degrade) wait
-            // for a granted observation.
-            let epoch_years = self.config.epoch_years;
-            for shard in &mut self.shards {
+        let bucket_mv = self.config.bucket_mv;
+        let memory = self.config.memory.as_ref();
+        let epoch_years = self.config.epoch_years;
+        // Priority classes descend; within a class, the least-recently
+        // sampled chip first, ties in id order.
+        let rank = |&(class, last_epoch, i): &DueChip| (Reverse(class), last_epoch, i);
+        // Pass 1. Wear never waits for a sample: stress accrues every
+        // epoch; only the *decisions* (re-encode, degrade) wait for a
+        // granted observation. Each shard ranks its own due chips.
+        let due = par_map_mut(&mut self.shards, |shard| {
+            if let Some(memory) = memory {
                 shard.accrue_memory(memory, epoch_years);
             }
-        }
+            let mut due = shard.due_chips(epoch, bucket_mv);
+            due.sort_unstable_by_key(rank);
+            due
+        });
+
+        // Pass 2. Merging the shards' ranked runs, lower shard first on
+        // a tie, gives the order of an unsharded run: (class,
+        // last-sample epoch, id).
         let mut budget = self.budget.take().expect("autopilot fleets carry a budget");
         autopilot.refill(&mut budget);
-        // Snapshot every due chip with the regime and sample history
-        // it held *before* this epoch's samples, so grant priority
-        // cannot depend on processing order. Shard-major position is
-        // fleet id order, so the sort key is shard-count invariant.
-        //
-        // A chip whose own last-known rate projects it past its
-        // recorded bucket's edge has likely already crossed while
-        // waiting, and a chip that has never taken a real reading
-        // (ΔVth is strictly positive once any time has passed) cannot
-        // be rationed on knowledge it does not have. Both request at
-        // Intervene priority regardless of their resting regime, so
-        // sustained budget pressure can delay quiet chips but never
-        // park a chip on a stale plan across a boundary, and every
-        // enrolled chip gets its baseline read.
-        let bucket_mv = self.config.bucket_mv;
-        let mut due: Vec<(Regime, u64, usize, usize)> = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            for i in 0..shard.len() {
-                let pilot = shard.pilot(i).expect("autopilot fleets enroll every chip");
-                if !pilot.due(epoch) {
-                    continue;
-                }
-                #[allow(clippy::cast_precision_loss)]
-                let projected_mv = pilot.last_mv
-                    + pilot.rate_mv_per_epoch * epoch.saturating_sub(pilot.last_epoch) as f64;
-                let never_measured =
-                    epoch >= 1 && pilot.last_mv <= 0.0 && pilot.rate_mv_per_epoch <= 0.0;
-                #[allow(clippy::cast_precision_loss)]
-                let overrun = !shard.is_guardband(i)
-                    && (never_measured
-                        || projected_mv >= (shard.bucket(i).saturating_add(1)) as f64 * bucket_mv);
-                let class = if overrun {
-                    Regime::Intervene
-                } else {
-                    pilot.regime
-                };
-                due.push((class, pilot.last_epoch, s, i));
+        let mut grants: Vec<(usize, Regime, u64)> = Vec::new();
+        let mut granted: Vec<Vec<usize>> = vec![Vec::new(); due.len()];
+        let mut deferred: Vec<Vec<(usize, Regime)>> = vec![Vec::new(); due.len()];
+        let head = |s: usize, &&(class, last_epoch, _): &&DueChip| {
+            Reverse((Reverse(class), last_epoch, s))
+        };
+        let mut runs: Vec<_> = due.iter().map(|run| run.iter().peekable()).collect();
+        let mut heads: BinaryHeap<_> = runs
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(s, run)| Some(head(s, run.peek()?)))
+            .collect();
+        while let Some(mut top) = heads.peek_mut() {
+            let Reverse((_, _, s)) = *top;
+            let &(class, _, i) = runs[s].next().expect("a run's head is a chip");
+            match runs[s].peek() {
+                Some(next) => *top = head(s, next),
+                None => drop(PeekMut::pop(top)),
             }
-        }
-        let decider = Arc::clone(&self.decider);
-        // Priority classes descend; within a class, the least-recently
-        // sampled chip first (ties in id order), so deferral builds
-        // seniority instead of letting id order starve the same chips
-        // every epoch.
-        for class in [Regime::Intervene, Regime::Watch, Regime::Calm] {
-            let mut class_due: Vec<(u64, usize, usize)> = due
-                .iter()
-                .filter(|(regime, ..)| *regime == class)
-                .map(|&(_, last_epoch, s, i)| (last_epoch, s, i))
-                .collect();
-            class_due.sort_unstable();
-            for (_, s, i) in class_due {
-                let shard = &mut self.shards[s];
-                match autopilot.request(&mut budget, class) {
-                    Grant::Granted => {
-                        Self::sample_chip(
-                            &decider,
-                            &self.config,
-                            autopilot,
-                            shard,
-                            i,
-                            epoch,
-                            years,
-                            budget.tokens,
-                            class,
-                        )?;
-                    }
-                    Grant::Deferred => {
-                        // Graceful degradation: the sample slips
-                        // one epoch, journaled so starvation is
-                        // auditable, never silent.
-                        let mut pilot = shard.pilot(i).expect("due chip has a pilot");
-                        pilot.next_epoch = epoch + 1;
-                        shard.set_pilot(i, pilot);
-                        shard.push_event(JournalEvent {
-                            epoch,
-                            chip: shard.chip_id(i),
-                            kind: EventKind::CadenceDeferred { regime: class },
-                        });
-                    }
+            match autopilot.request(&mut budget, class) {
+                Grant::Granted => {
+                    debug_assert!(
+                        deferred.iter().all(Vec::is_empty),
+                        "a grant after a deferral"
+                    );
+                    grants.push((s, class, budget.tokens));
+                    granted[s].push(i);
                 }
+                Grant::Deferred => deferred[s].push((i, class)),
             }
         }
         self.budget = Some(budget);
+
+        // Pass 3.
+        let work: Vec<_> = self.shards.iter().zip(&granted).collect();
+        let probes = par_map(&work, |(shard, chips)| {
+            chips
+                .iter()
+                .map(|&i| shard.probe(i, years, bucket_mv, memory))
+                .collect::<Vec<_>>()
+        });
+
+        // Pass 4.
+        let mut probes: Vec<_> = probes.into_iter().map(Vec::into_iter).collect();
+        for (s, class, tokens_left) in grants {
+            let probe = probes[s].next().expect("one probe per grant");
+            Self::sample_chip(
+                &self.decider,
+                &self.config,
+                autopilot,
+                &mut self.shards[s],
+                probe,
+                epoch,
+                tokens_left,
+                class,
+            )?;
+        }
+
+        // Pass 5.
+        let mut work: Vec<_> = self.shards.iter_mut().zip(deferred).collect();
+        par_map_mut(&mut work, |(shard, chips)| {
+            shard.defer_samples(chips, epoch)
+        });
         Ok(())
     }
 
-    /// One granted telemetry sample of chip `i`: reads the ground
-    /// truth, reacts to anything the sample reveals (bucket crossing,
-    /// memory action), folds the observation into the pilot state, and
-    /// takes the new regime's proactive posture — Watch prefetches the
-    /// next bucket's plan into the engine cache, Intervene pushes the
-    /// projected bucket's plan *before* the boundary is reached.
+    /// Applies one granted telemetry sample: reacts to anything the
+    /// sample's [`Probe`] revealed (bucket crossing, memory action),
+    /// folds the observation into the pilot state, and takes the new
+    /// regime's proactive posture — Watch prefetches the next bucket's
+    /// plan into the engine cache, Intervene pushes the projected
+    /// bucket's plan *before* the boundary is reached.
     #[allow(clippy::too_many_arguments)]
     fn sample_chip(
         decider: &Decider,
         config: &FleetConfig,
         autopilot: &AutopilotConfig,
         shard: &mut FleetShard,
-        i: usize,
+        probe: Probe,
         epoch: u64,
-        years: f64,
         tokens_left: u64,
         class: Regime,
     ) -> Result<(), FleetError> {
+        let Probe {
+            index: i,
+            mv,
+            true_bucket,
+            memory,
+            mem_pressure,
+        } = probe;
         let chip = shard.chip_id(i);
-        let (mv, true_bucket) = shard.observe(i, years, config.bucket_mv);
         // A revealed crossing is handled exactly as the always-on
         // path handles one.
         if true_bucket > shard.bucket(i) {
@@ -852,13 +885,9 @@ impl FleetSim {
                 shard.apply_decision(i, true_bucket, epoch, &decision);
             }
         }
-        if config.memory.is_some() {
-            shard.apply_memory_action(decider, epoch, i);
+        if let Some(action) = memory {
+            shard.apply_memory_action(epoch, i, action);
         }
-        let mem_pressure = config
-            .memory
-            .as_ref()
-            .map_or(0.0, |memory| shard.mem_pressure(i, memory));
         // Headroom to the *planned* bucket's upper edge. A guardbanded
         // chip has nothing left to protect on the timing axis, so its
         // boundary is reported infinitely far; memory pressure alone

@@ -68,7 +68,8 @@ fn coverage(sim: &FleetSim) -> Coverage {
     };
     for (k, event) in events.iter().enumerate() {
         let chip = event.chip as usize;
-        let same_sample = |other: &JournalEvent| other.epoch == event.epoch && other.chip == event.chip;
+        let same_sample =
+            |other: &JournalEvent| other.epoch == event.epoch && other.chip == event.chip;
         match event.kind {
             EventKind::CadenceDeferred { .. } => cov.deferrals += 1,
             EventKind::Degraded { .. } => {
@@ -96,12 +97,15 @@ fn coverage(sim: &FleetSim) -> Coverage {
                     Regime::Watch => cov.watch_prefetches += 1,
                     // A plan served after the grant is the proactive push.
                     Regime::Intervene
-                        if events[k + 1..].iter().take_while(|e| same_sample(e)).any(|e| {
-                            matches!(
-                                e.kind,
-                                EventKind::Replanned { .. } | EventKind::Degraded { .. }
-                            )
-                        }) =>
+                        if events[k + 1..]
+                            .iter()
+                            .take_while(|e| same_sample(e))
+                            .any(|e| {
+                                matches!(
+                                    e.kind,
+                                    EventKind::Replanned { .. } | EventKind::Degraded { .. }
+                                )
+                            }) =>
                     {
                         cov.intervene_pushes += 1;
                     }
@@ -143,7 +147,11 @@ fn late_life_autopilot_fleet_matches_its_golden_pin() {
             (JOURNAL_CRC, JOURNAL_LEN),
             "{shards}-shard journal"
         );
-        assert_eq!(sim.buckets_planned(), BUCKETS_PLANNED, "{shards}-shard record");
+        assert_eq!(
+            sim.buckets_planned(),
+            BUCKETS_PLANNED,
+            "{shards}-shard record"
+        );
         assert_eq!(summary, SUMMARY.trim_end(), "{shards}-shard summary");
     }
 }
