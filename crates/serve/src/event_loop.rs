@@ -321,7 +321,10 @@ impl EventLoop {
         if self.conns[slot].is_none() {
             return;
         }
-        if writable || self.conns[slot].as_ref().expect("live slot").unflushed() {
+        // A close-marked connection with nothing left to write must
+        // close now: it has no poll interest left to bring it back.
+        let conn = self.conns[slot].as_ref().expect("live slot");
+        if writable || conn.unflushed() || conn.close_after_flush {
             self.flush(slot);
         }
         if self.conns[slot].is_none() {

@@ -266,3 +266,123 @@ fn many_idle_connections_report_and_drain_cleanly() {
         }
     }
 }
+
+/// Writes one keep-alive request on `stream` and reads its response.
+fn keep_alive_call(
+    addr: &str,
+    stream: &TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, String) {
+    let mut writer = stream;
+    write!(
+        writer,
+        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("write request");
+    let (status, _, body) = read_response(reader);
+    (status, body)
+}
+
+/// A keep-alive client that hangs up with nothing left to write is
+/// closed at once, not left holding its socket, slot and gauge entry
+/// until the idle sweep (`keep_alive_secs`, 5 s by default).
+#[test]
+fn a_hung_up_keep_alive_connection_closes_at_once() {
+    let handle = start(test_config(4), FleetConfig::new(4, 7)).expect("start");
+    let addr = addr_of(&handle);
+
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (status, body) = keep_alive_call(&addr, &stream, &mut reader, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    drop(reader);
+    drop(stream);
+
+    // The scraper's own connection is the only one left.
+    let hung_up = Instant::now();
+    loop {
+        let (_, _, metrics) = request(&addr, "GET", "/metrics", None);
+        let open = metric_value(&metrics, "agequant_serve_open_connections")
+            .expect("open-connection gauge exported");
+        if open == 1.0 {
+            break;
+        }
+        assert!(
+            hung_up.elapsed() < Duration::from_millis(500),
+            "gauge still reads {open} {:?} after the hang-up",
+            hung_up.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    handle.shutdown_and_join();
+}
+
+/// A worker reply that lands after the loop already answered `504` is
+/// retired by the connection's generation: it is never written onto
+/// the next connection that reuses the slot, nor onto that
+/// connection's own parked request.
+#[test]
+fn a_late_worker_reply_is_retired_by_the_connection_generation() {
+    let config = ServeConfig {
+        workers: 1,
+        debug_delay_ms: 700,
+        deadline_ms: 100,
+        ..test_config(4)
+    };
+    let handle = start(config, FleetConfig::new(4, 7)).expect("start");
+    let addr = addr_of(&handle);
+    let connect = || {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+    let telemetry = |chip: u32| format!("{{\"chip\": {chip}, \"epoch\": 0}}");
+
+    // A's job sits in the worker's 700 ms delay; the loop answers 504
+    // once the 100 ms deadline and its grace pass.
+    let (a, mut a_reader) = connect();
+    let (status, body) = keep_alive_call(
+        &addr,
+        &a,
+        &mut a_reader,
+        "POST",
+        "/v1/telemetry",
+        &telemetry(0),
+    );
+    assert_eq!(status, 504, "{body}");
+    let (status, body) = keep_alive_call(&addr, &a, &mut a_reader, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    // Hang up and wait for the server's FIN: A's slot is free.
+    a.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut rest = Vec::new();
+    a_reader.read_to_end(&mut rest).expect("server closes A");
+    assert!(rest.is_empty(), "stray bytes on A: {rest:?}");
+
+    // B takes A's slot while the worker still holds A's job.
+    let (b, mut b_reader) = connect();
+    let (status, body) = keep_alive_call(
+        &addr,
+        &b,
+        &mut b_reader,
+        "POST",
+        "/v1/telemetry",
+        &telemetry(1),
+    );
+    assert_eq!(status, 504, "B got another request's answer: {body}");
+    std::thread::sleep(Duration::from_secs(1));
+    let (status, body) = keep_alive_call(&addr, &b, &mut b_reader, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    drop(b_reader);
+    drop(b);
+    handle.shutdown_and_join();
+}
