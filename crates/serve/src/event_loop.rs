@@ -1,19 +1,19 @@
 //! The readiness-polled connection plane.
 //!
-//! One event-loop thread (more with `AGEQUANT_SERVE_LOOPS`) owns every
-//! connection: a single `poll(2)` interest set covers the listener, a
-//! cross-thread waker, and each connection socket, so ten thousand
-//! idle keep-alive clients cost one file descriptor of kernel state
-//! apiece and no thread stacks. Request parsing, the wire-speed
-//! decision-table path, deadline bookkeeping, idle sweeping, and the
-//! graceful drain all happen here, centrally, instead of being
-//! replicated across per-connection threads.
+//! One event-loop thread owns every connection: a single `poll(2)`
+//! interest set covers the listener, a cross-thread waker, and each
+//! connection socket, so ten thousand idle keep-alive clients cost one
+//! file descriptor of kernel state apiece and no thread stacks.
+//! Request parsing, the wire-speed decision-table path, deadline
+//! bookkeeping, idle sweeping, and the graceful drain all happen here,
+//! centrally, instead of being replicated across per-connection
+//! threads.
 //!
 //! Requests the table cannot answer are queued to the worker pool; the
-//! worker posts a [`Completion`] into the owning loop's inbox (keyed
-//! by a generation-checked [`Token`]) and kicks the waker, so every
-//! byte a connection ever sends or receives is handled by the one
-//! thread that owns it — connection state needs no lock.
+//! worker posts a [`Completion`] into the loop's completion inbox
+//! (keyed by a generation-checked [`Token`]) and kicks the waker, so
+//! every byte a connection ever sends or receives is handled by the
+//! loop thread — connection state needs no lock.
 //!
 //! Pipelined requests are first-class: after a completion or a
 //! loop-side `504`, the parser is re-run over the receive buffer,
@@ -24,8 +24,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use agequant_check::sync::atomic::Ordering;
-use agequant_check::sync::{Arc, Mutex};
+use agequant_check::sync::Arc;
 use agequant_check::thread;
 use agequant_fleet::SwapReader;
 use agequant_netpoll::{poll, PollFd, POLLIN, POLLOUT};
@@ -55,7 +54,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// written onto someone else's request.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Token {
-    pub(crate) loop_idx: usize,
     pub(crate) slot: usize,
     pub(crate) gen: u64,
 }
@@ -64,55 +62,6 @@ pub(crate) struct Token {
 pub(crate) struct Completion {
     pub(crate) token: Token,
     pub(crate) response: Response,
-}
-
-/// What other threads push at an event loop.
-struct Inbox {
-    conns: Vec<TcpStream>,
-    completions: Vec<Completion>,
-}
-
-/// The cross-thread face of one event loop: an inbox plus a waker
-/// socket whose write end any thread may kick to interrupt `poll`.
-pub(crate) struct LoopShared {
-    inbox: Mutex<Inbox>,
-    waker_tx: TcpStream,
-}
-
-impl LoopShared {
-    pub(crate) fn new(waker_tx: TcpStream) -> Self {
-        LoopShared {
-            inbox: Mutex::new(Inbox {
-                conns: Vec::new(),
-                completions: Vec::new(),
-            }),
-            waker_tx,
-        }
-    }
-
-    /// Interrupts the loop's current `poll`. Best-effort: a full waker
-    /// pipe already guarantees a pending wakeup.
-    pub(crate) fn wake(&self) {
-        let _ = (&self.waker_tx).write(&[1]);
-    }
-
-    /// Posts a finished reply; follow with [`LoopShared::wake`].
-    pub(crate) fn deliver(&self, completion: Completion) {
-        self.inbox
-            .lock()
-            .expect("unpoisoned inbox")
-            .completions
-            .push(completion);
-    }
-
-    /// Hands an accepted connection to this loop.
-    fn hand_off(&self, stream: TcpStream) {
-        self.inbox
-            .lock()
-            .expect("unpoisoned inbox")
-            .conns
-            .push(stream);
-    }
 }
 
 /// Builds the `(read, write)` waker pair: a self-connected TCP socket,
@@ -136,7 +85,7 @@ struct Pending {
     wants_close: bool,
 }
 
-/// Per-connection state, owned by exactly one loop thread.
+/// Per-connection state, owned by the loop thread.
 struct Conn {
     stream: TcpStream,
     inbuf: Vec<u8>,
@@ -188,19 +137,12 @@ enum FdKind {
     Conn(usize),
 }
 
-/// Runs one event loop until the drain completes. Loop 0 owns the
-/// listener and round-robins accepted connections across all loops.
-pub(crate) fn run(
-    shared: Arc<Shared>,
-    idx: usize,
-    listener: Option<TcpListener>,
-    waker_rx: TcpStream,
-) {
+/// Runs the event loop until the drain completes.
+pub(crate) fn run(shared: Arc<Shared>, listener: TcpListener, waker_rx: TcpStream) {
     EventLoop {
         plans: shared.plans_reader(),
         shared,
-        idx,
-        listener,
+        listener: Some(listener),
         waker_rx,
         conns: Vec::new(),
         free: Vec::new(),
@@ -214,10 +156,9 @@ pub(crate) fn run(
 
 struct EventLoop {
     shared: Arc<Shared>,
-    idx: usize,
     listener: Option<TcpListener>,
     waker_rx: TcpStream,
-    /// This loop's lock-free view of the prerendered plan tables.
+    /// The loop's lock-free view of the prerendered plan tables.
     plans: SwapReader<PlanSet>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -241,7 +182,7 @@ impl EventLoop {
                     self.drain_deadline = Some(Instant::now() + DRAIN_PATIENCE);
                 }
             }
-            self.drain_inbox();
+            self.drain_completions();
             self.sweep();
             if self.shared.is_draining() && self.live == 0 {
                 break;
@@ -413,7 +354,6 @@ impl EventLoop {
                         conn.continue_sent = false;
                         conn.last_activity = Instant::now();
                         let token = Token {
-                            loop_idx: self.idx,
                             slot,
                             gen: conn.gen,
                         };
@@ -425,13 +365,12 @@ impl EventLoop {
             let (endpoint, routed) = server::route(&self.shared, &request, token, &mut self.plans);
             let conn = self.conns[slot].as_mut().expect("live slot");
             match routed {
-                Routed::Ready(reply) => {
+                Routed::Ready(response) => {
                     let keep_alive = !self.shared.is_draining() && !request.wants_close();
-                    let status = reply.status();
-                    reply.render(&mut conn.outbuf, keep_alive);
+                    response.render_to(&mut conn.outbuf, keep_alive);
                     self.shared
                         .metrics
-                        .observe(endpoint, status, started.elapsed());
+                        .observe(endpoint, response.status, started.elapsed());
                     if !keep_alive {
                         conn.close_after_flush = true;
                     }
@@ -488,7 +427,7 @@ impl EventLoop {
         }
     }
 
-    /// Accepts every pending connection, round-robining across loops.
+    /// Accepts every pending connection.
     fn accept_ready(&mut self) {
         loop {
             let Some(listener) = &self.listener else {
@@ -497,18 +436,7 @@ impl EventLoop {
             match listener.accept() {
                 Ok((stream, _)) => {
                     self.shared.metrics.connection_opened();
-                    let loops = self.shared.loops.len();
-                    let target = if loops > 1 {
-                        self.shared.next_loop.fetch_add(1, Ordering::Relaxed) % loops
-                    } else {
-                        self.idx
-                    };
-                    if target == self.idx {
-                        self.adopt(stream);
-                    } else {
-                        self.shared.loops[target].hand_off(stream);
-                        self.shared.loops[target].wake();
-                    }
+                    self.adopt(stream);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return, // WouldBlock or transient; poll retries
@@ -543,24 +471,15 @@ impl EventLoop {
         }
     }
 
-    /// Pulls handed-off connections and worker completions.
-    fn drain_inbox(&mut self) {
-        let (streams, completions) = {
-            let mut inbox = self.shared.loops[self.idx]
-                .inbox
+    /// Writes out every worker reply posted since the last pass.
+    fn drain_completions(&mut self) {
+        let completions = std::mem::take(
+            &mut *self
+                .shared
+                .completions
                 .lock()
-                .expect("unpoisoned inbox");
-            if inbox.conns.is_empty() && inbox.completions.is_empty() {
-                return;
-            }
-            (
-                std::mem::take(&mut inbox.conns),
-                std::mem::take(&mut inbox.completions),
-            )
-        };
-        for stream in streams {
-            self.adopt(stream);
-        }
+                .expect("unpoisoned completions"),
+        );
         for completion in completions {
             self.complete(completion);
         }
@@ -569,7 +488,7 @@ impl EventLoop {
     /// Writes a worker's reply onto its connection, unless the token
     /// was retired (connection closed/reused or already answered 504).
     fn complete(&mut self, completion: Completion) {
-        let Token { slot, gen, .. } = completion.token;
+        let Token { slot, gen } = completion.token;
         let Some(Some(conn)) = self.conns.get_mut(slot) else {
             return;
         };

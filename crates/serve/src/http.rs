@@ -9,6 +9,8 @@
 //! shutdown) lives in the event loop, where it can be enforced
 //! centrally for every connection at once.
 
+use agequant_check::sync::Arc;
+
 /// Hard cap on the request line plus all headers.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Hard cap on a request body.
@@ -232,6 +234,10 @@ pub fn eof_error(buf: &[u8]) -> Option<HttpError> {
 pub const CONTINUE_BYTES: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 
 /// A response ready to render.
+///
+/// The body is shared: a prerendered decision-table answer is a
+/// `Response` holding the table's own `Arc<str>`, so answering from the
+/// table copies no body bytes until they reach the send buffer.
 #[derive(Debug)]
 pub struct Response {
     /// HTTP status code.
@@ -239,7 +245,7 @@ pub struct Response {
     /// `Content-Type` value.
     pub content_type: &'static str,
     /// Body text.
-    pub body: String,
+    pub body: Arc<str>,
     /// Extra headers (e.g. `Retry-After`).
     pub extra_headers: Vec<(&'static str, String)>,
 }
@@ -247,22 +253,22 @@ pub struct Response {
 impl Response {
     /// A JSON response.
     #[must_use]
-    pub fn json(status: u16, body: String) -> Self {
+    pub fn json(status: u16, body: impl Into<Arc<str>>) -> Self {
         Response {
             status,
             content_type: "application/json",
-            body,
+            body: body.into(),
             extra_headers: Vec::new(),
         }
     }
 
     /// A plain-text response.
     #[must_use]
-    pub fn text(status: u16, body: String) -> Self {
+    pub fn text(status: u16, body: impl Into<Arc<str>>) -> Self {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
-            body,
+            body: body.into(),
             extra_headers: Vec::new(),
         }
     }
@@ -274,47 +280,26 @@ impl Response {
         self
     }
 
-    /// Renders the response head into `out`, with the right
-    /// `Connection` header, leaving the body to the caller — the fast
-    /// path appends a prerendered body slice with no intermediate
-    /// `Response` at all.
-    pub fn render_head(
-        out: &mut Vec<u8>,
-        status: u16,
-        content_type: &str,
-        body_len: usize,
-        keep_alive: bool,
-        extra_headers: &[(&'static str, String)],
-    ) {
+    /// Appends the full wire form (head + body) to `out`, with the
+    /// right `Connection` header.
+    pub fn render_to(&self, out: &mut Vec<u8>, keep_alive: bool) {
         use std::io::Write;
         let _ = write!(
             out,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-            status,
-            reason(status),
-            content_type,
-            body_len,
+            self.status,
+            reason(self.status),
+            self.content_type,
+            self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
         );
-        for (name, value) in extra_headers {
+        for (name, value) in &self.extra_headers {
             out.extend_from_slice(name.as_bytes());
             out.extend_from_slice(b": ");
             out.extend_from_slice(value.as_bytes());
             out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");
-    }
-
-    /// Appends the full wire form (head + body) to `out`.
-    pub fn render_to(&self, out: &mut Vec<u8>, keep_alive: bool) {
-        Self::render_head(
-            out,
-            self.status,
-            self.content_type,
-            self.body.len(),
-            keep_alive,
-            &self.extra_headers,
-        );
         out.extend_from_slice(self.body.as_bytes());
     }
 

@@ -130,7 +130,7 @@ pub struct Metrics {
     /// ΔVth; previously that disagreement was computed and thrown
     /// away after the consistency bool.
     telemetry_residual_bits: AtomicU64,
-    /// Live connections registered with the event loops.
+    /// Live connections registered with the event loop.
     open_connections: AtomicU64,
     /// Plan decisions answered from the materialized table.
     table_hits: AtomicU64,
@@ -344,7 +344,7 @@ impl Metrics {
             self.queue_rejected.load(Ordering::Relaxed)
         ));
         out.push_str(
-            "# HELP agequant_serve_open_connections Live connections registered with the event loops\n",
+            "# HELP agequant_serve_open_connections Live connections registered with the event loop\n",
         );
         out.push_str("# TYPE agequant_serve_open_connections gauge\n");
         out.push_str(&format!(

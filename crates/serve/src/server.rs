@@ -4,19 +4,21 @@
 //!
 //! ## Architecture
 //!
-//! A small set of readiness-polled event loops (`crate::event_loop`,
-//! one by default) owns every connection: parsing, response writes,
-//! idle sweeping, deadlines, and the drain all run there — no thread
-//! per connection, so ten thousand idle keep-alive clients cost one
-//! file descriptor apiece.
+//! One readiness-polled event loop (`crate::event_loop`) on one thread
+//! owns every connection: parsing, response writes, idle sweeping,
+//! deadlines, and the drain all run there — no thread per connection,
+//! so ten thousand idle keep-alive clients cost one file descriptor
+//! apiece. Workers reach the loop through one completion inbox and one
+//! waker on [`Shared`].
 //!
 //! Requests are answered at one of three costs:
 //!
 //! 1. **Table answers** — `POST /v1/plan` (and batches whose every
 //!    element the table answers) for a model whose [`PlanSet`] entry
 //!    covers the bucket, plus out-of-range refusals: answered on the
-//!    event loop from an `Arc<str>` body. No lock, no queue, no
-//!    engine; the plan bytes were rendered once at table build.
+//!    event loop as a [`Response`] holding the table's `Arc<str>` body.
+//!    No lock, no queue, no engine; the plan bytes were rendered once
+//!    at table build.
 //! 2. **Inline reads** — `/metrics`, summaries: answered on the loop,
 //!    reading atomics or taking a short lock.
 //! 3. **Worker jobs** — telemetry, constraint overrides, models not
@@ -43,16 +45,16 @@
 //! ## Shutdown
 //!
 //! `POST /v1/shutdown` (or [`ServerHandle::shutdown`]) flips one
-//! flag. The loops drop the listener (closing the port), workers
+//! flag. The loop drops the listener (closing the port), workers
 //! drain every job already queued, in-flight responses flush with
 //! `connection: close`, idle connections are swept, and
-//! [`ServerHandle::join`] returns when every loop has wound down.
+//! [`ServerHandle::join`] returns when the loop has wound down.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use agequant_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use agequant_check::sync::atomic::{AtomicBool, Ordering};
 use agequant_check::sync::{Arc, Mutex, RwLock};
 use agequant_check::thread::{self, JoinHandle};
 
@@ -65,7 +67,7 @@ use agequant_fleet::{
 use serde::{Deserialize, Value};
 
 use crate::config::ServeConfig;
-use crate::event_loop::{self, Completion, LoopShared, Token};
+use crate::event_loop::{self, Completion, Token};
 use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, Metrics, ROUTES};
 use crate::queue::BoundedQueue;
@@ -194,47 +196,13 @@ pub(crate) struct PlanSet {
 
 /// How a routed request is answered.
 pub(crate) enum Routed {
-    /// Answered on the event loop: render `Reply` and move on.
-    Ready(Reply),
+    /// Answered on the event loop: render it and move on.
+    Ready(Response),
     /// Parked on the worker pool; a [`Completion`] will arrive.
     Pending,
 }
 
-/// A response the event loop can write without a worker.
-pub(crate) enum Reply {
-    Full(Response),
-    /// A table-plane plan answer: the head is rendered per-connection
-    /// (keep-alive differs), the body bytes are shared.
-    Table(PlanAnswer),
-}
-
-impl Reply {
-    pub(crate) fn status(&self) -> u16 {
-        match self {
-            Reply::Full(response) => response.status,
-            Reply::Table((status, _)) => *status,
-        }
-    }
-
-    pub(crate) fn render(&self, out: &mut Vec<u8>, keep_alive: bool) {
-        match self {
-            Reply::Full(response) => response.render_to(out, keep_alive),
-            Reply::Table((status, body)) => {
-                Response::render_head(
-                    out,
-                    *status,
-                    "application/json",
-                    body.len(),
-                    keep_alive,
-                    &[],
-                );
-                out.extend_from_slice(body.as_bytes());
-            }
-        }
-    }
-}
-
-/// State shared by the event loops and workers.
+/// State shared by the event loop and the workers.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     addr: SocketAddr,
@@ -249,11 +217,13 @@ pub(crate) struct Shared {
     fleet: Mutex<FleetHost>,
     pub(crate) metrics: Metrics,
     queue: BoundedQueue<Job>,
-    /// The swap cell behind every event loop's and worker's table
+    /// The swap cell behind the event loop's and every worker's table
     /// reader.
     plans: Swap<PlanSet>,
-    pub(crate) loops: Vec<Arc<LoopShared>>,
-    pub(crate) next_loop: AtomicUsize,
+    /// Finished worker replies, waiting for the event loop.
+    pub(crate) completions: Mutex<Vec<Completion>>,
+    /// Write end of the event loop's waker socket.
+    waker: TcpStream,
     shutdown: AtomicBool,
 }
 
@@ -265,6 +235,13 @@ impl Shared {
     pub(crate) fn plans_reader(&self) -> SwapReader<PlanSet> {
         SwapReader::new(&self.plans)
     }
+
+    /// Interrupts the event loop's current `poll`. Best-effort: a full
+    /// waker socket already guarantees a pending wakeup.
+    fn wake(&self) {
+        use std::io::Write;
+        let _ = (&self.waker).write(&[1]);
+    }
 }
 
 /// A running server. Dropping the handle does NOT stop the server;
@@ -272,7 +249,7 @@ impl Shared {
 /// then [`ServerHandle::join`].
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    loops: Vec<JoinHandle<()>>,
+    event_loop: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -302,14 +279,14 @@ impl ServerHandle {
     }
 
     /// Waits for the drain to complete: listener closed, queue empty,
-    /// workers exited, every connection wound down by its loop. The
+    /// workers exited, every connection wound down by the loop. The
     /// handle stays usable afterwards (e.g. for [`write_checkpoint`]).
     ///
     /// # Panics
     ///
     /// Panics if a server thread panicked.
     pub fn join(&mut self) {
-        for handle in self.loops.drain(..) {
+        if let Some(handle) = self.event_loop.take() {
             handle.join().expect("event loop thread");
         }
         for worker in self.workers.drain(..) {
@@ -326,16 +303,6 @@ impl ServerHandle {
         self.shutdown();
         self.join();
     }
-}
-
-/// Event loops to run: `AGEQUANT_SERVE_LOOPS` (1–64), default 1 —
-/// one loop saturates a small core count; more shard the fd set.
-fn loop_threads() -> usize {
-    std::env::var("AGEQUANT_SERVE_LOOPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|n| (1..=64).contains(n))
-        .unwrap_or(1)
 }
 
 /// Builds and starts the server: binds the address, plans the hosted
@@ -393,14 +360,7 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
         by_model,
     }));
 
-    let loop_count = loop_threads();
-    let mut wakers = Vec::with_capacity(loop_count);
-    let mut loop_shareds = Vec::with_capacity(loop_count);
-    for _ in 0..loop_count {
-        let (rx, tx) = event_loop::waker_pair().map_err(|e| ServeError::Io(e.to_string()))?;
-        loop_shareds.push(Arc::new(LoopShared::new(tx)));
-        wakers.push(rx);
-    }
+    let (waker_rx, waker) = event_loop::waker_pair().map_err(|e| ServeError::Io(e.to_string()))?;
 
     let shared = Arc::new(Shared {
         queue: BoundedQueue::new(config.queue_depth as usize),
@@ -412,8 +372,8 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
         fleet: Mutex::new(host),
         metrics: Metrics::new(),
         plans,
-        loops: loop_shareds,
-        next_loop: AtomicUsize::new(0),
+        completions: Mutex::new(Vec::new()),
+        waker,
         shutdown: AtomicBool::new(false),
     });
 
@@ -427,23 +387,15 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
         })
         .collect();
 
-    let mut listener = Some(listener);
-    let loops = wakers
-        .into_iter()
-        .enumerate()
-        .map(|(i, waker_rx)| {
-            let shared = Arc::clone(&shared);
-            let listener = if i == 0 { listener.take() } else { None };
-            thread::Builder::new()
-                .name(format!("serve-loop-{i}"))
-                .spawn(move || event_loop::run(shared, i, listener, waker_rx))
-                .expect("spawn event loop")
-        })
-        .collect();
+    let loop_shared = Arc::clone(&shared);
+    let event_loop = thread::Builder::new()
+        .name("serve-loop".to_string())
+        .spawn(move || event_loop::run(loop_shared, listener, waker_rx))
+        .expect("spawn event loop");
 
     Ok(ServerHandle {
         shared,
-        loops,
+        event_loop: Some(event_loop),
         workers,
     })
 }
@@ -455,42 +407,36 @@ fn initiate_shutdown(shared: &Shared) {
     // Closing refuses new work and wakes every worker to drain the
     // backlog; the queue hands out `None` once it runs dry.
     shared.queue.close();
-    // Kick every event loop so the drain starts without waiting for
-    // the next poll tick.
-    for lp in &shared.loops {
-        lp.wake();
-    }
+    // Kick the event loop so the drain starts without waiting for the
+    // next poll tick.
+    shared.wake();
 }
 
 // ------------------------------------------------------------ plan answers
-
-/// One plan answer: HTTP status and JSON body. Table bodies are shared
-/// `Arc<str>`s; refusals and live decisions are rendered fresh.
-pub(crate) type PlanAnswer = (u16, Arc<str>);
 
 /// Answers a plan request from the prerendered table, if it can: a
 /// `400` for a ΔVth outside the served range, the model's table body
 /// when its table covers the bucket, otherwise `None` (a constraint
 /// override, or a model whose table is not materialized yet). The
 /// event loop and the workers both answer through this one function.
-fn table_answer(shared: &Shared, set: &PlanSet, request: &PlanRequest) -> Option<PlanAnswer> {
+fn table_answer(shared: &Shared, set: &PlanSet, request: &PlanRequest) -> Option<Response> {
     let mv = request.delta_vth_mv;
     if !served_range(shared, mv) {
-        return Some((400, error_body(&range_message(shared, mv)).into()));
+        return Some(Response::json(400, error_body(&range_message(shared, mv))));
     }
     if request.constraint_factor.is_some() {
         return None;
     }
     let key = request.model.as_deref().unwrap_or(&set.default_key);
     let body = set.by_model.get(key)?.body_for(mv)?;
-    Some((200, Arc::clone(body)))
+    Some(Response::json(200, Arc::clone(body)))
 }
 
 /// Counts a [`table_answer`] in the hit counter: its `200`s are table
 /// bodies, its `400`s are range refusals and count as neither hit nor
 /// miss.
-fn count_table_answer(shared: &Shared, (status, _): &PlanAnswer) {
-    if *status == 200 {
+fn count_table_answer(shared: &Shared, answer: &Response) {
+    if answer.status == 200 {
         shared.metrics.record_table_hits(1);
     }
 }
@@ -503,7 +449,7 @@ fn worker_answer(
     shared: &Shared,
     plans: &mut SwapReader<PlanSet>,
     request: &PlanRequest,
-) -> PlanAnswer {
+) -> Response {
     let from_table = |plans: &mut SwapReader<PlanSet>| {
         let answer = table_answer(shared, plans.get(&shared.plans), request)?;
         count_table_answer(shared, &answer);
@@ -526,17 +472,14 @@ fn worker_answer(
         }
         Some(factor) => {
             let message = format!("constraint_factor {factor} must be positive");
-            return (400, error_body(&message).into());
+            return Response::json(400, error_body(&message));
         }
     };
     shared.metrics.record_table_misses(1);
     let bucket = decider.bucket_of(VthShift::from_millivolts(request.delta_vth_mv));
     match decider.decide_bucket_at(bucket, constraint_ps) {
-        Ok(decision) => (
-            200,
-            render_value(&plan_response(&decider, &decision)).into(),
-        ),
-        Err(e) => (500, error_body(&e.to_string()).into()),
+        Ok(decision) => Response::json(200, render_value(&plan_response(&decider, &decision))),
+        Err(e) => Response::json(500, error_body(&e.to_string())),
     }
 }
 
@@ -544,15 +487,19 @@ fn worker_answer(
 /// each element under its own status, each body the exact bytes its
 /// single call answers, so one bad element cannot fail the rest. The
 /// batch itself always answers `200`.
-fn batch_response(answers: &[PlanAnswer]) -> Response {
+fn batch_response(answers: &[Response]) -> Response {
     use std::fmt::Write;
     let mut out = String::with_capacity(16 + answers.len() * 192);
     out.push_str("{\"results\":[");
-    for (i, (status, body)) in answers.iter().enumerate() {
+    for (i, answer) in answers.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"status\":{status},\"body\":{body}}}");
+        let _ = write!(
+            out,
+            "{{\"status\":{},\"body\":{}}}",
+            answer.status, answer.body
+        );
     }
     out.push_str("]}");
     Response::json(200, out)
@@ -586,7 +533,7 @@ pub(crate) fn route(
     let endpoint = match ROUTES.iter().find(|(_, path, _)| *path == request.target) {
         Some((method, ..)) if *method != request.method => {
             let response = Response::json(405, error_body("method not allowed"));
-            return (Endpoint::Other, ready(response));
+            return (Endpoint::Other, Routed::Ready(response));
         }
         Some((_, _, endpoint)) => *endpoint,
         None => Endpoint::Other,
@@ -615,15 +562,17 @@ pub(crate) fn route(
                 memory.as_ref(),
                 autopilot.as_ref(),
             );
-            ready(Response::text(200, text).with_header("cache-control", "no-store".to_string()))
+            Routed::Ready(
+                Response::text(200, text).with_header("cache-control", "no-store".to_string()),
+            )
         }
-        Endpoint::Models => ready(models_response(shared)),
+        Endpoint::Models => Routed::Ready(models_response(shared)),
         Endpoint::Summary => {
             let host = shared.fleet.lock().expect("unpoisoned fleet");
-            ready(Response::json(200, host.sim.summary().to_json()))
+            Routed::Ready(Response::json(200, host.sim.summary().to_json()))
         }
-        Endpoint::MemorySummary => ready(memory_summary_response(shared)),
-        Endpoint::AutopilotSummary => ready(autopilot_summary_response(shared)),
+        Endpoint::MemorySummary => Routed::Ready(memory_summary_response(shared)),
+        Endpoint::AutopilotSummary => Routed::Ready(autopilot_summary_response(shared)),
         Endpoint::AutopilotEnroll => {
             let parsed = if request.body.is_empty() {
                 Ok(EnrollRequest {
@@ -633,28 +582,28 @@ pub(crate) fn route(
             } else {
                 parse_body::<EnrollRequest>(&request.body)
             };
-            ready(match parsed {
+            Routed::Ready(match parsed {
                 Ok(body) => handle_enroll(shared, &body),
                 Err(response) => response,
             })
         }
-        Endpoint::Healthz => ready(Response::text(200, "ok\n".to_string())),
+        Endpoint::Healthz => Routed::Ready(Response::text(200, "ok\n")),
         Endpoint::Shutdown => {
             initiate_shutdown(shared);
-            ready(Response::json(200, "{\"draining\":true}".to_string()))
+            Routed::Ready(Response::json(200, "{\"draining\":true}"))
         }
         Endpoint::Plan => match parse_body::<PlanRequest>(&request.body) {
             Ok(body) => match table_answer(shared, plans.get(&shared.plans), &body) {
                 Some(answer) => {
                     count_table_answer(shared, &answer);
-                    Routed::Ready(Reply::Table(answer))
+                    Routed::Ready(answer)
                 }
                 None => enqueue(shared, ApiCall::Plan(body), token),
             },
-            Err(response) => ready(response),
+            Err(response) => Routed::Ready(response),
         },
         Endpoint::PlanBatch => match parse_body::<Vec<PlanRequest>>(&request.body) {
-            Ok(body) if body.len() > MAX_BATCH => ready(Response::json(
+            Ok(body) if body.len() > MAX_BATCH => Routed::Ready(Response::json(
                 400,
                 error_body(&format!(
                     "batch of {} exceeds the {MAX_BATCH}-element limit",
@@ -665,7 +614,7 @@ pub(crate) fn route(
                 // All or nothing: one element needing live work sends
                 // the whole batch to the workers unchanged.
                 let set = plans.get(&shared.plans);
-                let answers: Option<Vec<PlanAnswer>> = body
+                let answers: Option<Vec<Response>> = body
                     .iter()
                     .map(|request| table_answer(shared, set, request))
                     .collect();
@@ -674,24 +623,20 @@ pub(crate) fn route(
                         for answer in &answers {
                             count_table_answer(shared, answer);
                         }
-                        ready(batch_response(&answers))
+                        Routed::Ready(batch_response(&answers))
                     }
                     None => enqueue(shared, ApiCall::PlanBatch(body), token),
                 }
             }
-            Err(response) => ready(response),
+            Err(response) => Routed::Ready(response),
         },
         Endpoint::Telemetry => match parse_body::<TelemetryRequest>(&request.body) {
             Ok(body) => enqueue(shared, ApiCall::Telemetry(body), token),
-            Err(response) => ready(response),
+            Err(response) => Routed::Ready(response),
         },
-        Endpoint::Other => ready(Response::json(404, error_body("no such endpoint"))),
+        Endpoint::Other => Routed::Ready(Response::json(404, error_body("no such endpoint"))),
     };
     (endpoint, routed)
-}
-
-fn ready(response: Response) -> Routed {
-    Routed::Ready(Reply::Full(response))
 }
 
 fn parse_body<T: serde::de::DeserializeOwned>(body: &[u8]) -> Result<T, Response> {
@@ -701,10 +646,10 @@ fn parse_body<T: serde::de::DeserializeOwned>(body: &[u8]) -> Result<T, Response
 }
 
 /// Queues a decision call, enforcing backpressure; the worker's reply
-/// comes back through the owning event loop's inbox.
+/// comes back through the event loop's completion inbox.
 fn enqueue(shared: &Shared, call: ApiCall, token: Token) -> Routed {
     if shared.is_draining() {
-        return ready(
+        return Routed::Ready(
             Response::json(503, error_body("server is draining"))
                 .with_header("retry-after", "1".to_string()),
         );
@@ -717,7 +662,7 @@ fn enqueue(shared: &Shared, call: ApiCall, token: Token) -> Routed {
     };
     if shared.queue.try_push(job).is_err() {
         shared.metrics.record_rejection();
-        return ready(
+        return Routed::Ready(
             Response::json(503, error_body("queue full"))
                 .with_header("retry-after", "1".to_string()),
         );
@@ -744,12 +689,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             thread::sleep(Duration::from_millis(shared.config.debug_delay_ms));
         }
         let response = match job.call {
-            ApiCall::Plan(request) => {
-                let (status, body) = worker_answer(shared, &mut plans, &request);
-                Response::json(status, body.to_string())
-            }
+            ApiCall::Plan(request) => worker_answer(shared, &mut plans, &request),
             ApiCall::PlanBatch(requests) => {
-                let answers: Vec<PlanAnswer> = requests
+                let answers: Vec<Response> = requests
                     .iter()
                     .map(|request| worker_answer(shared, &mut plans, request))
                     .collect();
@@ -761,13 +703,15 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Routes a worker's reply back to the event loop owning the
-/// connection; the token's generation retires it if the connection
-/// already gave up.
+/// Posts a worker's reply to the event loop and wakes it; the token's
+/// generation retires the reply if the connection already gave up.
 fn deliver(shared: &Shared, token: Token, response: Response) {
-    let lp = &shared.loops[token.loop_idx];
-    lp.deliver(Completion { token, response });
-    lp.wake();
+    shared
+        .completions
+        .lock()
+        .expect("unpoisoned completions")
+        .push(Completion { token, response });
+    shared.wake();
 }
 
 // ---------------------------------------------------------------- handlers
@@ -812,7 +756,7 @@ fn models_response(shared: &Shared) -> Response {
 /// table and publishes its prerendered plan bodies, so only a model's
 /// *first* request pays for live characterization. An unknown model
 /// is refused with the answer its request gets.
-fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, PlanAnswer> {
+fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, Response> {
     let Some(name) = model else {
         return Ok(Arc::clone(&shared.decider));
     };
@@ -832,13 +776,13 @@ fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, Pla
             "unknown model {name:?}; options: {}",
             ModelSpec::NAMES.join(", ")
         );
-        return Err((400, error_body(&message).into()));
+        return Err(Response::json(400, error_body(&message)));
     };
     let mut config = shared.decider.config().clone();
     config.flow.model = Some(spec);
     let decider = match Decider::with_engine(&config, Arc::clone(&shared.engine)) {
         Ok(decider) => Arc::new(decider),
-        Err(e) => return Err((500, error_body(&e.to_string()).into())),
+        Err(e) => return Err(Response::json(500, error_body(&e.to_string()))),
     };
     // Materialize the model's decision table through the decider
     // itself: the characterizations land in the shared engine's
