@@ -319,7 +319,7 @@ pub(crate) struct ChipView<'a> {
 }
 
 impl<'a> ChipView<'a> {
-    fn of(chip: &'a Chip) -> Self {
+    pub(crate) fn of(chip: &'a Chip) -> Self {
         ChipView {
             id: chip.id,
             kind: chip.kind,

@@ -7,11 +7,16 @@
 //! and — for a live simulator — the evaluation-engine cache counters
 //! proving that fleet-scale replanning amortizes.
 
+use std::collections::{BTreeMap, HashMap};
+
+use agequant_autopilot::{BudgetState, Regime};
 use agequant_core::CacheStats;
+use agequant_sta::{Compression, Padding};
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::ChipView;
 use crate::chip::ChipMode;
-use crate::sim::FleetState;
+use crate::sim::{FleetConfig, FleetState};
 
 /// One row of the plan-distribution histogram.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -208,34 +213,102 @@ impl FleetSummary {
     /// available.
     #[must_use]
     pub fn from_state(state: &FleetState, cache: Option<CacheStats>) -> Self {
-        use std::collections::BTreeMap;
+        Self::from_views(
+            &state.config,
+            state.epoch,
+            state.autopilot.as_ref(),
+            state.chips.iter().map(ChipView::of),
+            cache,
+        )
+    }
 
-        let mut plans: BTreeMap<String, usize> = BTreeMap::new();
+    /// Summarizes a fleet from borrowed chip views, in id order: what
+    /// [`FleetSummary::from_state`] and a live
+    /// [`FleetSim::summary`](crate::FleetSim::summary) both run, the
+    /// latter straight from the shard columns without cloning a chip.
+    /// Plan labels are formatted once per distinct plan, not per chip.
+    pub(crate) fn from_views<'a>(
+        config: &FleetConfig,
+        epoch: u64,
+        budget: Option<&BudgetState>,
+        chips: impl Iterator<Item = ChipView<'a>>,
+        cache: Option<CacheStats>,
+    ) -> Self {
+        let mut plans: HashMap<Option<(Compression, Padding, u64)>, usize> = HashMap::new();
         let mut buckets: BTreeMap<u64, usize> = BTreeMap::new();
         let mut losses: Vec<f64> = Vec::new();
+        let mut chip_count = 0usize;
         let mut compressed = 0usize;
         let mut degraded = 0usize;
-        for chip in &state.chips {
+        let mut failure_prob_total = 0.0f64;
+        let mut memory = config.memory.as_ref().map(|config| {
+            (
+                config,
+                MemorySummary {
+                    tracked: 0,
+                    reencodes: 0,
+                    memory_degraded: 0,
+                    timing_healthy_memory_degraded: 0,
+                    worst_failure_prob: 0.0,
+                    mean_failure_prob: 0.0,
+                },
+            )
+        });
+        let mut autopilot = config.autopilot.as_ref().map(|_| AutopilotSummary {
+            enrolled: 0,
+            calm: 0,
+            watch: 0,
+            intervene: 0,
+            budget_tokens: budget.map_or(0, |b| b.tokens),
+            messages_granted: budget.map_or(0, |b| b.granted),
+            messages_deferred: budget.map_or(0, |b| b.deferred),
+            overdraft_grants: budget.map_or(0, |b| b.overdraft),
+        });
+        for chip in chips {
+            chip_count += 1;
             *buckets.entry(chip.bucket).or_insert(0) += 1;
             match chip.mode {
                 ChipMode::Compressed => compressed += 1,
                 ChipMode::Guardband => degraded += 1,
             }
-            let label = match &chip.plan {
-                Some(plan) => format!(
-                    "({},{})/{} @ bucket {}",
-                    plan.plan.compression.alpha(),
-                    plan.plan.compression.beta(),
-                    plan.plan.padding,
-                    plan.bucket
-                ),
-                None => "guardband".to_string(),
-            };
-            *plans.entry(label).or_insert(0) += 1;
-            if let Some(loss) = chip.plan.as_ref().and_then(|p| p.accuracy_loss_pct) {
+            let plan_key = chip
+                .plan
+                .map(|plan| (plan.plan.compression, plan.plan.padding, plan.bucket));
+            *plans.entry(plan_key).or_insert(0) += 1;
+            if let Some(loss) = chip.plan.and_then(|p| p.accuracy_loss_pct) {
                 losses.push(loss);
             }
+            if let (Some((config, summary)), Some(mem)) = (&mut memory, &chip.mem) {
+                summary.tracked += 1;
+                summary.reencodes += u64::from(mem.reencodes);
+                if mem.degraded {
+                    summary.memory_degraded += 1;
+                    if chip.mode == ChipMode::Compressed {
+                        summary.timing_healthy_memory_degraded += 1;
+                    }
+                }
+                let prob = config
+                    .cell
+                    .failure_prob_at_exposure(mem.worst_stress_years());
+                summary.worst_failure_prob = summary.worst_failure_prob.max(prob);
+                failure_prob_total += prob;
+            }
+            if let (Some(summary), Some(pilot)) = (&mut autopilot, &chip.pilot) {
+                summary.enrolled += 1;
+                match pilot.regime {
+                    Regime::Calm => summary.calm += 1,
+                    Regime::Watch => summary.watch += 1,
+                    Regime::Intervene => summary.intervene += 1,
+                }
+            }
         }
+        let memory = memory.map(|(_, mut summary)| {
+            #[allow(clippy::cast_precision_loss)]
+            if summary.tracked > 0 {
+                summary.mean_failure_prob = failure_prob_total / summary.tracked as f64;
+            }
+            summary
+        });
         losses.sort_by(|a, b| a.partial_cmp(b).expect("losses are finite"));
         let accuracy_loss = match (
             percentile(&losses, 50.0),
@@ -245,79 +318,27 @@ impl FleetSummary {
             (Some(p50), Some(p90), Some(p99)) => Some(LossPercentiles { p50, p90, p99 }),
             _ => None,
         };
-        let memory = state.config.memory.as_ref().map(|config| {
-            let mut tracked = 0usize;
-            let mut reencodes = 0u64;
-            let mut memory_degraded = 0usize;
-            let mut timing_healthy_memory_degraded = 0usize;
-            let mut worst = 0.0f64;
-            let mut total = 0.0f64;
-            for chip in &state.chips {
-                let Some(mem) = &chip.mem else { continue };
-                tracked += 1;
-                reencodes += u64::from(mem.reencodes);
-                if mem.degraded {
-                    memory_degraded += 1;
-                    if chip.mode == ChipMode::Compressed {
-                        timing_healthy_memory_degraded += 1;
-                    }
-                }
-                let prob = config
-                    .cell
-                    .failure_prob_at_exposure(mem.worst_stress_years());
-                worst = worst.max(prob);
-                total += prob;
-            }
-            #[allow(clippy::cast_precision_loss)]
-            let mean = if tracked == 0 {
-                0.0
-            } else {
-                total / tracked as f64
+        let mut plan_histogram: BTreeMap<String, usize> = BTreeMap::new();
+        for (key, count) in plans {
+            let label = match key {
+                Some((compression, padding, bucket)) => format!(
+                    "({},{})/{padding} @ bucket {bucket}",
+                    compression.alpha(),
+                    compression.beta()
+                ),
+                None => "guardband".to_string(),
             };
-            MemorySummary {
-                tracked,
-                reencodes,
-                memory_degraded,
-                timing_healthy_memory_degraded,
-                worst_failure_prob: worst,
-                mean_failure_prob: mean,
-            }
-        });
-        let autopilot = state.config.autopilot.as_ref().map(|_| {
-            let mut enrolled = 0usize;
-            let mut calm = 0usize;
-            let mut watch = 0usize;
-            let mut intervene = 0usize;
-            for chip in &state.chips {
-                let Some(pilot) = &chip.pilot else { continue };
-                enrolled += 1;
-                match pilot.regime {
-                    agequant_autopilot::Regime::Calm => calm += 1,
-                    agequant_autopilot::Regime::Watch => watch += 1,
-                    agequant_autopilot::Regime::Intervene => intervene += 1,
-                }
-            }
-            let budget = state.autopilot.as_ref();
-            AutopilotSummary {
-                enrolled,
-                calm,
-                watch,
-                intervene,
-                budget_tokens: budget.map_or(0, |b| b.tokens),
-                messages_granted: budget.map_or(0, |b| b.granted),
-                messages_deferred: budget.map_or(0, |b| b.deferred),
-                overdraft_grants: budget.map_or(0, |b| b.overdraft),
-            }
-        });
+            *plan_histogram.entry(label).or_insert(0) += count;
+        }
         #[allow(clippy::cast_precision_loss)]
-        let years = state.epoch as f64 * state.config.epoch_years;
+        let years = epoch as f64 * config.epoch_years;
         FleetSummary {
-            epoch: state.epoch,
+            epoch,
             years,
-            chips: state.chips.len(),
+            chips: chip_count,
             compressed,
             degraded,
-            plan_histogram: plans
+            plan_histogram: plan_histogram
                 .into_iter()
                 .map(|(label, count)| PlanBin { label, count })
                 .collect(),
@@ -448,6 +469,27 @@ mod tests {
         let summary = sim.summary();
         let back: FleetSummary = serde_json::from_str(&summary.to_json()).expect("parses");
         assert_eq!(back, summary);
+    }
+
+    /// A live summary, built from the shard columns, and a checkpoint's
+    /// summary, built from materialized chips, agree field for field
+    /// (cache counters aside: a checkpoint has no engine).
+    #[test]
+    fn live_and_checkpoint_summaries_agree() {
+        let mut config = FleetConfig::new(48, 5);
+        config.epoch_years = 2.0;
+        config.memory = Some(agequant_mem::MemoryConfig::demo());
+        config.autopilot = Some(agequant_autopilot::AutopilotConfig::demo());
+        let mut sim = FleetSim::new_sharded(config, 3).expect("valid config");
+        sim.run(8).expect("steps");
+        let mut live = sim.summary();
+        live.cache = None;
+        live.cache_by_model = None;
+        let from_state = FleetSummary::from_state(&sim.to_state(), None);
+        assert!(from_state.memory.is_some_and(|m| m.tracked == 48));
+        assert!(from_state.autopilot.is_some_and(|a| a.enrolled == 48));
+        assert!(from_state.plan_histogram.len() > 1, "several plans in use");
+        assert_eq!(live, from_state);
     }
 
     #[test]

@@ -555,17 +555,9 @@ impl FleetSim {
     pub fn resume_sharded(state: FleetState, shards: usize) -> Result<Self, FleetError> {
         state.config.validate()?;
         let decider = Arc::new(Decider::from_config(&state.config)?);
-        Self::scatter_state(state, decider, shards)
-    }
-
-    /// Shared resume construction: validates the chip count, rebuilds
-    /// each shard from its slice of the checkpointed chips, and
-    /// recomputes shard RNG substreams by draw replay.
-    fn scatter_state(
-        state: FleetState,
-        decider: Arc<Decider>,
-        shards: usize,
-    ) -> Result<Self, FleetError> {
+        // Validate the chip count, rebuild each shard from its slice of
+        // the checkpointed chips, and recompute shard RNG substreams by
+        // draw replay.
         let expected = checked_chip_count(&state.config)?;
         if state.chips.len() != expected {
             return Err(FleetError::Malformed(format!(
@@ -622,25 +614,6 @@ impl FleetSim {
             shards: built,
             budget,
         })
-    }
-
-    /// Restores a fleet around an *existing* decision core — the
-    /// network server's construction, where one [`Decider`] answers
-    /// both direct `/v1/plan` queries and the hosted fleet's replans,
-    /// so all of them share one engine cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Malformed`] if the state was produced
-    /// under a different configuration than the decider's, or if it is
-    /// internally inconsistent.
-    pub fn with_decider(state: FleetState, decider: Arc<Decider>) -> Result<Self, FleetError> {
-        if state.config != *decider.config() {
-            return Err(FleetError::Malformed(
-                "fleet state and decider disagree on configuration".into(),
-            ));
-        }
-        Self::scatter_state(state, decider, default_shard_count())
     }
 
     /// A fresh fleet sharing an existing decision core: samples every
@@ -1117,11 +1090,17 @@ impl FleetSim {
             self.epoch,
             &self.rng,
             self.budget.as_ref(),
-            self.shards
-                .iter()
-                .flat_map(|shard| (0..shard.len()).map(move |i| shard.chip_view(i))),
+            self.chip_views(),
             self.chip_count(),
         )
+    }
+
+    /// Every chip's checkpointable fields, borrowed from the shard
+    /// columns in id order.
+    fn chip_views(&self) -> impl Iterator<Item = crate::checkpoint::ChipView<'_>> + Clone {
+        self.shards
+            .iter()
+            .flat_map(|shard| (0..shard.len()).map(move |i| shard.chip_view(i)))
     }
 
     /// The run's configuration.
@@ -1250,7 +1229,13 @@ impl FleetSim {
     /// instance's live cache statistics.
     #[must_use]
     pub fn summary(&self) -> FleetSummary {
-        let mut summary = FleetSummary::from_state(&self.to_state(), Some(self.cache_stats()));
+        let mut summary = FleetSummary::from_views(
+            &self.config,
+            self.epoch,
+            self.budget.as_ref(),
+            self.chip_views(),
+            Some(self.cache_stats()),
+        );
         summary.cache_by_model = Some(
             self.cache_stats_by_model()
                 .into_iter()
