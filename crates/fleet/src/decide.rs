@@ -8,7 +8,7 @@
 //! server answer from literally the same code and cannot drift.
 //!
 //! The decider is `Send + Sync`: the underlying
-//! [`EvalEngine`](agequant_core::EvalEngine) caches are concurrent,
+//! [`EvalEngine`] caches are concurrent,
 //! and the decider-side memos (method selection per bit-width pair,
 //! proven infeasibility, first-encounter characterization order) sit
 //! behind one mutex so racing server workers agree on every outcome.

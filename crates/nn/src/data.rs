@@ -40,7 +40,7 @@ impl SyntheticDataset {
     /// assigned round-robin so every class is represented.
     ///
     /// The class prototypes are drawn from a *fixed task seed*
-    /// ([`TASK_SEED`](crate::TASK_SEED)) — every generated set (training, calibration,
+    /// ([`TASK_SEED`]) — every generated set (training, calibration,
     /// evaluation) shares the same ten classes; `seed` only controls
     /// the per-sample noise.
     ///
