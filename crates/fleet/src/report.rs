@@ -241,18 +241,13 @@ impl FleetSummary {
         let mut compressed = 0usize;
         let mut degraded = 0usize;
         let mut failure_prob_total = 0.0f64;
-        let mut memory = config.memory.as_ref().map(|config| {
-            (
-                config,
-                MemorySummary {
-                    tracked: 0,
-                    reencodes: 0,
-                    memory_degraded: 0,
-                    timing_healthy_memory_degraded: 0,
-                    worst_failure_prob: 0.0,
-                    mean_failure_prob: 0.0,
-                },
-            )
+        let mut memory = config.memory.as_ref().map(|_| MemorySummary {
+            tracked: 0,
+            reencodes: 0,
+            memory_degraded: 0,
+            timing_healthy_memory_degraded: 0,
+            worst_failure_prob: 0.0,
+            mean_failure_prob: 0.0,
         });
         let mut autopilot = config.autopilot.as_ref().map(|_| AutopilotSummary {
             enrolled: 0,
@@ -278,7 +273,9 @@ impl FleetSummary {
             if let Some(loss) = chip.plan.and_then(|p| p.accuracy_loss_pct) {
                 losses.push(loss);
             }
-            if let (Some((config, summary)), Some(mem)) = (&mut memory, &chip.mem) {
+            if let (Some(summary), Some(mem_config), Some(mem)) =
+                (&mut memory, &config.memory, &chip.mem)
+            {
                 summary.tracked += 1;
                 summary.reencodes += u64::from(mem.reencodes);
                 if mem.degraded {
@@ -287,7 +284,7 @@ impl FleetSummary {
                         summary.timing_healthy_memory_degraded += 1;
                     }
                 }
-                let prob = config
+                let prob = mem_config
                     .cell
                     .failure_prob_at_exposure(mem.worst_stress_years());
                 summary.worst_failure_prob = summary.worst_failure_prob.max(prob);
@@ -302,13 +299,11 @@ impl FleetSummary {
                 }
             }
         }
-        let memory = memory.map(|(_, mut summary)| {
+        if let Some(summary) = memory.as_mut().filter(|s| s.tracked > 0) {
             #[allow(clippy::cast_precision_loss)]
-            if summary.tracked > 0 {
-                summary.mean_failure_prob = failure_prob_total / summary.tracked as f64;
-            }
-            summary
-        });
+            let tracked = summary.tracked as f64;
+            summary.mean_failure_prob = failure_prob_total / tracked;
+        }
         losses.sort_by(|a, b| a.partial_cmp(b).expect("losses are finite"));
         let accuracy_loss = match (
             percentile(&losses, 50.0),

@@ -555,9 +555,6 @@ impl FleetSim {
     pub fn resume_sharded(state: FleetState, shards: usize) -> Result<Self, FleetError> {
         state.config.validate()?;
         let decider = Arc::new(Decider::from_config(&state.config)?);
-        // Validate the chip count, rebuild each shard from its slice of
-        // the checkpointed chips, and recompute shard RNG substreams by
-        // draw replay.
         let expected = checked_chip_count(&state.config)?;
         if state.chips.len() != expected {
             return Err(FleetError::Malformed(format!(
