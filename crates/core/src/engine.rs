@@ -446,21 +446,6 @@ impl EvalEngine {
             .map(|(key, counters)| (key.clone(), counters.snapshot()))
             .collect()
     }
-
-    /// Drops every cached artifact (counters are kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an internal lock was poisoned by a panicking caller.
-    pub fn clear(&self) {
-        self.libraries
-            .write()
-            .expect("unpoisoned library cache")
-            .clear();
-        self.loads.write().expect("unpoisoned load cache").clear();
-        self.scans.write().expect("unpoisoned scan cache").clear();
-        self.plans.write().expect("unpoisoned plan cache").clear();
-    }
 }
 
 #[cfg(test)]
@@ -547,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_scans_run_once_per_model_and_shift_until_cleared() {
+    fn grid_scans_run_once_per_model_and_shift() {
         use std::cell::Cell;
 
         use agequant_sta::{Compression, Padding};
@@ -578,23 +563,5 @@ mod tests {
             4.0
         );
         assert_eq!(runs.get(), 3);
-        engine.clear();
-        assert_eq!(
-            engine.grid_scan("nbti", shift, || scan(5.0))[0].delay_ps,
-            5.0
-        );
-        assert_eq!(runs.get(), 4);
-    }
-
-    #[test]
-    fn clear_forces_recharacterization() {
-        let engine = EvalEngine::new(ProcessLibrary::finfet14nm());
-        let shift = VthShift::from_millivolts(40.0);
-        let first = engine.library("nbti", &derating(), shift);
-        engine.clear();
-        let second = engine.library("nbti", &derating(), shift);
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, *second);
-        assert_eq!(engine.stats().library_misses, 2);
     }
 }

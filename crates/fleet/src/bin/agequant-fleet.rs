@@ -353,23 +353,25 @@ fn cmd_autopilot(args: &[String]) -> Result<(), String> {
         }
     }
     let mut sim = if resume {
-        let mut state = read_state(&common.out).map_err(|e| e.to_string())?;
-        // Arming upgrades any checkpoint vintage: the budget ledger
-        // and per-chip pilot state are created fresh where missing,
-        // and the next save writes the format-4 frame.
-        state.arm_autopilot(autopilot);
-        match shards {
+        let state = read_state(&common.out).map_err(|e| e.to_string())?;
+        let mut sim = match shards {
             Some(n) => FleetSim::resume_sharded(state, n),
             None => FleetSim::resume(state),
         }
+        .map_err(|e| e.to_string())?;
+        // Arming upgrades any checkpoint vintage: the budget ledger
+        // and per-chip pilot state are created fresh where missing,
+        // and the next save writes the format-4 frame.
+        sim.arm_autopilot(autopilot).map_err(|e| e.to_string())?;
+        sim
     } else {
         config.autopilot = Some(autopilot);
         match shards {
             Some(n) => FleetSim::new_sharded(config, n),
             None => FleetSim::new(config),
         }
-    }
-    .map_err(|e| e.to_string())?;
+        .map_err(|e| e.to_string())?
+    };
     sim.run(epochs).map_err(|e| e.to_string())?;
     finish(&sim, &common, resume).map_err(|e| e.to_string())
 }

@@ -1080,13 +1080,16 @@ mod tests {
 
     #[test]
     fn arming_a_pre_autopilot_state_upgrades_the_frame_format() {
-        // The migration path: a format-2 checkpoint is loaded, armed,
+        // The migration path: a format-2 checkpoint is resumed, armed,
         // and saved again as format 4 with fresh pilot state per chip.
-        let mut state = small_state();
+        let state = small_state();
         let old_frame = state.to_binary().expect("encodes");
         let old_version = u32::from_le_bytes(old_frame[8..12].try_into().unwrap());
         assert_eq!(old_version, CHECKPOINT_FORMAT);
-        state.arm_autopilot(agequant_autopilot::AutopilotConfig::demo());
+        let mut sim = crate::FleetSim::resume(state).expect("resumes");
+        sim.arm_autopilot(agequant_autopilot::AutopilotConfig::demo())
+            .expect("valid autopilot config");
+        let state = sim.to_state();
         let frame = state.to_binary().expect("encodes");
         let version = u32::from_le_bytes(frame[8..12].try_into().unwrap());
         assert_eq!(version, CHECKPOINT_FORMAT_AUTOPILOT);

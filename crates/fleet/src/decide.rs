@@ -35,7 +35,7 @@ use agequant_sta::GuardbandModel;
 
 use agequant_mem::MemoryConfig;
 
-use crate::chip::{Chip, ChipMemState, ChipMode, ChipPlan};
+use crate::chip::{Chip, ChipMemState, ChipPlan};
 use crate::sim::FleetConfig;
 use crate::FleetError;
 
@@ -117,7 +117,8 @@ struct Memos {
 ///
 /// Construction derives the timing constraint and guardband fallback
 /// clock from a [`FleetConfig`] exactly as the simulator always has;
-/// [`Decider::decide`] then maps any chip state to a [`Decision`].
+/// [`Decider::decide_bucket`] then maps any aging bucket to a
+/// [`Decision`].
 ///
 /// [`FleetSim`]: crate::FleetSim
 #[derive(Debug)]
@@ -213,23 +214,6 @@ impl Decider {
     #[must_use]
     pub fn bucket_of(&self, shift: VthShift) -> u64 {
         Chip::bucket_of(shift, self.config.bucket_mv)
-    }
-
-    /// The decision for a chip's current state at `years` of
-    /// deployment: a chip already degraded to guardband mode only
-    /// tracks its bucket (infeasibility is monotone in ΔVth), every
-    /// other chip is served its bucket's plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-degradable flow errors; infeasible compression
-    /// is a [`Decision::Degrade`], not an error.
-    pub fn decide(&self, chip: &Chip, years: f64) -> Result<Decision, FleetError> {
-        let bucket = self.bucket_of(chip.shift_at(years));
-        if chip.mode == ChipMode::Guardband {
-            return Ok(Decision::Degrade { bucket });
-        }
-        self.decide_bucket(bucket)
     }
 
     /// The decision for a raw ΔVth: quantizes onto the bucket grid,
@@ -452,7 +436,7 @@ mod tests {
     use agequant_check::sync::Arc;
 
     use super::*;
-    use crate::FleetSim;
+    use crate::{ChipMode, FleetSim};
 
     #[test]
     fn decider_and_sim_serve_identical_plans() {
@@ -482,25 +466,26 @@ mod tests {
     fn degraded_chips_are_never_replanned() {
         let mut config = FleetConfig::new(4, 5);
         config.constraint_factor = 0.3; // infeasible from bucket 0
-        let decider = Decider::from_config(&config).expect("valid config");
-        let sim = FleetSim::new_with_decider(Arc::new(
-            Decider::from_config(&config).expect("valid config"),
-        ))
-        .expect("degrades, does not error");
-        let state = sim.to_state();
-        let chip = &state.chips[0];
-        assert_eq!(chip.mode, ChipMode::Guardband);
-        // The chip-state entry honors monotone infeasibility: a
-        // degraded chip only tracks its bucket.
-        let decision = decider.decide(chip, 10.0).expect("decides");
-        assert!(matches!(decision, Decision::Degrade { .. }));
-        // And the bucket it reports is the aged one, not a replan.
-        assert_eq!(
-            decision.bucket(),
-            decider.bucket_of(chip.shift_at(10.0)),
-            "degraded chips still track their aging bucket"
-        );
-        assert!(decision.plan().is_none());
+        config.epoch_years = 2.5;
+        let decider = Arc::new(Decider::from_config(&config).expect("valid config"));
+        let mut sim =
+            FleetSim::new_with_decider(Arc::clone(&decider)).expect("degrades, does not error");
+        assert!(sim
+            .to_state()
+            .chips
+            .iter()
+            .all(|chip| chip.mode == ChipMode::Guardband));
+        let planned = decider.buckets_planned();
+        sim.run(4).expect("simulates");
+        // Infeasibility is monotone in ΔVth: a degraded chip only
+        // tracks its aged bucket, and no later bucket is characterized.
+        for chip in &sim.to_state().chips {
+            assert_eq!(chip.mode, ChipMode::Guardband);
+            assert!(chip.plan.is_none());
+            assert_eq!(chip.bucket, decider.bucket_of(chip.shift_at(10.0)));
+        }
+        assert!(sim.to_state().chips.iter().any(|chip| chip.bucket > 0));
+        assert_eq!(decider.buckets_planned(), planned);
     }
 
     /// A decider whose memos and engine are warm from other keys must

@@ -16,7 +16,7 @@
 //!   zoo) plus a jittered [`MissionKind`] mission profile from a small
 //!   catalog.
 //! * [`FleetSim`] — discrete-time epochs over struct-of-arrays
-//!   [`FleetShard`]s; per-chip ΔVth evaluated in parallel per shard,
+//!   shards; per-chip ΔVth evaluated in parallel per shard,
 //!   quantized into aging buckets, and replanned *only on a bucket
 //!   crossing* (serially, in id order, so sharding never changes an
 //!   observable byte) — the engine's plan cache turns
@@ -29,7 +29,8 @@
 //!   Legacy JSON checkpoints are read only by `agequant-fleet migrate`
 //!   ([`FleetState::from_json`]); [`journal`] — append-only
 //!   JSON-lines event log (replans, bucket crossings, guardband
-//!   degradations).
+//!   degradations), which a host that writes it out releases with
+//!   [`FleetSim::clear_journal`].
 //! * [`FleetSummary`] — plan-distribution and bucket histograms,
 //!   accuracy-loss percentiles, cache hit rates (aggregate and split
 //!   per degradation model).
@@ -84,7 +85,6 @@ pub use report::{
     ModelCacheSummary, PlanBin,
 };
 pub use rng::FleetRng;
-pub use shard::FleetShard;
 pub use sim::{
     FleetConfig, FleetSim, FleetState, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_AUTOPILOT,
     CHECKPOINT_FORMAT_MEM,

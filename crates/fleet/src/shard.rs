@@ -112,8 +112,7 @@ pub(crate) struct Probe {
 /// hot physics fields in their own arrays, cold identity fields in
 /// side tables, plus the shard's RNG substream and journal segment.
 #[derive(Debug)]
-pub struct FleetShard {
-    base: u32,
+pub(crate) struct FleetShard {
     rng: FleetRng,
     // Hot: scanned every epoch by the physics pass.
     accel: Vec<f64>,
@@ -132,9 +131,8 @@ pub struct FleetShard {
 }
 
 impl FleetShard {
-    fn with_capacity(base: u32, capacity: usize, rng: FleetRng) -> Self {
+    fn with_capacity(capacity: usize, rng: FleetRng) -> Self {
         FleetShard {
-            base,
             rng,
             accel: Vec::with_capacity(capacity),
             kinetics: Vec::with_capacity(capacity),
@@ -173,7 +171,7 @@ impl FleetShard {
         config_model: &ModelSpec,
         mut rng: FleetRng,
     ) -> Self {
-        let mut shard = FleetShard::with_capacity(base, count as usize, rng.clone());
+        let mut shard = FleetShard::with_capacity(count as usize, rng.clone());
         for offset in 0..count {
             let chip = Chip::sample(base + offset, config_model, &mut rng);
             shard.push(chip);
@@ -184,43 +182,34 @@ impl FleetShard {
 
     /// Rebuilds a shard from checkpointed chips (preserved verbatim,
     /// ids included) and its recomputed RNG substream.
-    pub(crate) fn from_chips(base: u32, chips: Vec<Chip>, rng: FleetRng) -> Self {
-        let mut shard = FleetShard::with_capacity(base, chips.len(), rng);
+    pub(crate) fn from_chips(chips: Vec<Chip>, rng: FleetRng) -> Self {
+        let mut shard = FleetShard::with_capacity(chips.len(), rng);
         for chip in chips {
             shard.push(chip);
         }
         shard
     }
 
-    /// First chip id of the shard's contiguous range.
-    #[must_use]
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
     /// Number of chips in the shard.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bucket.len()
     }
 
-    /// Whether the shard holds no chips.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bucket.is_empty()
-    }
-
     /// The shard's RNG substream, positioned after its sampling draws.
-    #[must_use]
-    pub fn substream(&self) -> &FleetRng {
+    pub(crate) fn substream(&self) -> &FleetRng {
         &self.rng
     }
 
-    /// The shard's journal segment (events of this sim instance for
-    /// this shard's chips, in emission order).
-    #[must_use]
-    pub fn journal(&self) -> &[JournalEvent] {
+    /// The shard's journal segment: this shard's chips' events since
+    /// the last [`FleetShard::clear_journal`], in emission order.
+    pub(crate) fn journal(&self) -> &[JournalEvent] {
         &self.journal
+    }
+
+    /// Forgets the journal segment, keeping its allocation for the
+    /// events still to come.
+    pub(crate) fn clear_journal(&mut self) {
+        self.journal.clear();
     }
 
     /// Materializes chip `i` back into the fat representation.
@@ -307,15 +296,8 @@ impl FleetShard {
         (shift.millivolts(), Chip::bucket_of(shift, bucket_mv))
     }
 
-    /// Appends one event to the shard's journal segment, which stays
-    /// epoch-ascending ([`crate::FleetSim::journal_since`] searches it).
+    /// Appends one event to the shard's journal segment.
     pub(crate) fn push_event(&mut self, event: JournalEvent) {
-        debug_assert!(
-            self.journal
-                .last()
-                .is_none_or(|last| last.epoch <= event.epoch),
-            "shard journal must stay epoch-ascending"
-        );
         self.journal.push(event);
     }
 
@@ -588,9 +570,8 @@ mod tests {
         let chips: Vec<Chip> = (10..26)
             .map(|id| Chip::sample(id, &model, &mut rng))
             .collect();
-        let shard = FleetShard::from_chips(10, chips.clone(), rng);
+        let shard = FleetShard::from_chips(chips.clone(), rng);
         assert_eq!(shard.len(), chips.len());
-        assert_eq!(shard.base(), 10);
         for (i, chip) in chips.iter().enumerate() {
             assert_eq!(&shard.chip(i), chip);
         }
@@ -603,7 +584,7 @@ mod tests {
         let chips: Vec<Chip> = (0..64)
             .map(|id| Chip::sample(id, &model, &mut rng))
             .collect();
-        let shard = FleetShard::from_chips(0, chips.clone(), rng);
+        let shard = FleetShard::from_chips(chips.clone(), rng);
         let (years, bucket_mv) = (5.0, 10.0);
         let crossed = shard.crossings(years, bucket_mv);
         assert!(!crossed.is_empty(), "5 years ages someone past 10 mV");

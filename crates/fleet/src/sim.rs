@@ -244,7 +244,7 @@ pub const CHECKPOINT_FORMAT_MEM: u32 = 3;
 /// present (flagged empty when the memory axis is off), so format 4
 /// composes with either memory setting; pre-autopilot checkpoints
 /// load with no pilot state and enroll their chips fresh when the
-/// autopilot is armed on the resumed config.
+/// resumed fleet is armed ([`FleetSim::arm_autopilot`]).
 pub const CHECKPOINT_FORMAT_AUTOPILOT: u32 = 4;
 
 /// The complete serializable state of a fleet run: configuration,
@@ -270,28 +270,6 @@ pub struct FleetState {
 }
 
 impl FleetState {
-    /// Arms the closed loop on a loaded state: installs `autopilot`
-    /// into the embedded config, enrolls every chip that does not
-    /// already carry pilot state as [`PilotState::FRESH`], starts the
-    /// budget ledger if none was checkpointed, and restamps the format
-    /// version. This is how a pre-autopilot checkpoint migrates — the
-    /// resumed run continues its physics bit-identically while the
-    /// controller takes over observation.
-    ///
-    /// [`PilotState::FRESH`]: agequant_autopilot::PilotState::FRESH
-    pub fn arm_autopilot(&mut self, autopilot: AutopilotConfig) {
-        if self.autopilot.is_none() {
-            self.autopilot = Some(BudgetState::fresh(&autopilot));
-        }
-        for chip in &mut self.chips {
-            if chip.pilot.is_none() {
-                chip.pilot = Some(agequant_autopilot::PilotState::FRESH);
-            }
-        }
-        self.config.autopilot = Some(autopilot);
-        self.format = Some(self.config.checkpoint_format());
-    }
-
     /// Parses a legacy JSON checkpoint (any format vintage: the text
     /// form written before every checkpoint became a binary frame),
     /// migrating a format-1 tree on the way. `agequant-fleet migrate`
@@ -519,14 +497,7 @@ impl FleetSim {
                 shard.init_memory();
             }
         }
-        if let Some(autopilot) = &sim.config.autopilot {
-            // Every chip enrolls Calm and due; the ledger opens with a
-            // full burst bucket. No RNG draws.
-            sim.budget = Some(BudgetState::fresh(autopilot));
-            for shard in &mut sim.shards {
-                shard.init_autopilot();
-            }
-        }
+        sim.enroll();
         sim.plan_initial()?;
         Ok(sim)
     }
@@ -572,26 +543,11 @@ impl FleetSim {
             autopilot,
             ..
         } = state;
-        // A resumed closed-loop fleet continues its checkpointed
-        // ledger; a config armed over a pre-autopilot state (see
-        // `FleetState::arm_autopilot`) starts a fresh one.
-        let budget = config
-            .autopilot
-            .as_ref()
-            .map(|ap| autopilot.unwrap_or_else(|| BudgetState::fresh(ap)));
-        if config.autopilot.is_some() {
-            for chip in &mut chips {
-                if chip.pilot.is_none() {
-                    chip.pilot = Some(agequant_autopilot::PilotState::FRESH);
-                }
-            }
-        }
         // Recompute each shard's substream position the same way fresh
         // sampling does, so a resumed shard is indistinguishable from
         // a never-checkpointed one.
         let mut replay = FleetRng::seed_from_u64(config.seed);
         let mut built: Vec<FleetShard> = Vec::with_capacity(parts.len());
-        let mut base = 0u32;
         let mut drained = chips.drain(..);
         for &count in &parts {
             let start = replay.clone();
@@ -599,18 +555,21 @@ impl FleetSim {
                 Chip::skip_sample_draws(&mut replay);
             }
             let slice: Vec<Chip> = drained.by_ref().take(count).collect();
-            built.push(FleetShard::from_chips(base, slice, start));
-            base += u32::try_from(count).expect("partition fits the chip count");
+            built.push(FleetShard::from_chips(slice, start));
         }
         drop(drained);
-        Ok(FleetSim {
+        // A resumed closed-loop fleet continues its checkpointed ledger.
+        let budget = autopilot.filter(|_| config.autopilot.is_some());
+        let mut sim = FleetSim {
             decider,
             config,
             epoch,
             rng,
             shards: built,
             budget,
-        })
+        };
+        sim.enroll();
+        Ok(sim)
     }
 
     /// A fresh fleet sharing an existing decision core: samples every
@@ -977,13 +936,14 @@ impl FleetSim {
         self.budget.as_ref()
     }
 
-    /// Arms the closed loop on a live simulator: installs `autopilot`
-    /// into the config, enrolls every chip that does not already
-    /// carry pilot state, and starts the budget ledger if none
-    /// exists. Idempotent — re-arming keeps existing pilot state and
-    /// the ledger, only swapping the thresholds. This is the serve
-    /// host's `POST /v1/autopilot/enroll` path; checkpoint-side
-    /// arming goes through [`FleetState::arm_autopilot`].
+    /// Arms the closed loop: installs `autopilot` into the config,
+    /// enrolls every chip that does not already carry pilot state, and
+    /// starts the budget ledger if none exists. Idempotent — re-arming
+    /// keeps existing pilot state and the ledger, only swapping the
+    /// thresholds. This is serve's `POST /v1/autopilot/enroll` and how
+    /// `agequant-fleet autopilot --resume` migrates a pre-autopilot
+    /// checkpoint: resume it, then arm it, and the next save writes
+    /// format 4 while the physics continue bit-identically.
     ///
     /// # Errors
     ///
@@ -997,14 +957,26 @@ impl FleetSim {
                 violations.join("; ")
             )));
         }
-        if self.budget.is_none() {
-            self.budget = Some(BudgetState::fresh(&autopilot));
-        }
+        self.config.autopilot = Some(autopilot);
+        self.enroll();
+        Ok(())
+    }
+
+    /// Enrolls the closed loop's chips when the config arms it: every
+    /// chip without pilot state as [`PilotState::FRESH`] (Calm, due
+    /// now), and a ledger with a full burst bucket if none was
+    /// carried. Draws nothing from the RNG.
+    ///
+    /// [`PilotState::FRESH`]: agequant_autopilot::PilotState::FRESH
+    fn enroll(&mut self) {
+        let Some(autopilot) = &self.config.autopilot else {
+            return;
+        };
+        self.budget
+            .get_or_insert_with(|| BudgetState::fresh(autopilot));
         for shard in &mut self.shards {
             shard.init_autopilot();
         }
-        self.config.autopilot = Some(autopilot);
-        Ok(())
     }
 
     /// Feeds a measured-vs-model telemetry residual into chip `idx`'s
@@ -1132,48 +1104,37 @@ impl FleetSim {
         None
     }
 
-    /// The shards the population lives in, in id order.
-    #[must_use]
-    pub fn shards(&self) -> &[FleetShard] {
-        &self.shards
-    }
-
-    /// The events journaled by *this* sim instance (a resumed sim
-    /// journals only post-resume events, so appending to the original
-    /// journal file reconstructs the full history), merged across
-    /// shards into the exact order an unsharded run would emit:
-    /// epoch-major, shard-major within an epoch — which is id order,
-    /// because decisions are applied that way.
+    /// The events journaled since this sim was built or resumed, or
+    /// since the last [`FleetSim::clear_journal`], merged across
+    /// shards into the order an unsharded run emits them: epoch-major,
+    /// then chip-major — id order, the order decisions are applied in.
+    /// A resumed sim journals only post-resume events, so appending
+    /// them to the original journal file reconstructs the full history.
     #[must_use]
     pub fn journal(&self) -> Vec<JournalEvent> {
-        self.journal_since(0)
-    }
-
-    /// The journaled events at epochs `>= epoch`, in [`FleetSim::journal`]
-    /// order. Shard journals are epoch-ascending, so each shard's tail
-    /// is found by binary search and only the tails are merged: the
-    /// cost is the events returned, not the history behind them.
-    #[must_use]
-    pub fn journal_since(&self, epoch: u64) -> Vec<JournalEvent> {
         let mut merged: Vec<JournalEvent> = self
             .shards
             .iter()
-            .flat_map(|shard| {
-                let events = shard.journal();
-                events[events.partition_point(|event| event.epoch < epoch)..].iter()
-            })
-            .copied()
+            .flat_map(|shard| shard.journal().iter().copied())
             .collect();
-        // Canonical order: epoch-major, then chip-major, then push
-        // order (stable sort). A chip lives in exactly one shard, so
-        // its own events keep their push order; chip-major order is
-        // id order, the order decisions are applied in. Sorting by
-        // chip, not shard, keeps the order shard-count-invariant: each
-        // shard journals its MAC pass before its memory pass, so a
-        // chip with both a MAC and a memory event in one epoch would
-        // otherwise interleave differently at different shard counts.
+        // A stable sort keeps each chip's own events in push order (a
+        // chip lives in exactly one shard). Sorting by chip, not shard,
+        // keeps the order shard-count-invariant: each shard journals
+        // its MAC pass before its memory pass, so a chip with both a
+        // MAC and a memory event in one epoch would otherwise
+        // interleave differently at different shard counts.
         merged.sort_by_key(|event| (event.epoch, event.chip));
         merged
+    }
+
+    /// Forgets every journaled event, so the next [`FleetSim::journal`]
+    /// holds only what later epochs journal. A host that writes the
+    /// journal out calls this after each write; its fleet then holds
+    /// the events since the last write, not the whole uptime.
+    pub fn clear_journal(&mut self) {
+        for shard in &mut self.shards {
+            shard.clear_journal();
+        }
     }
 
     /// The shared decision core.
@@ -1407,6 +1368,34 @@ mod tests {
         assert_eq!(migrated, tree);
         let state = FleetState::from_json(text).expect("fixture loads");
         assert_eq!(state.format, Some(CHECKPOINT_FORMAT));
+    }
+
+    /// After a clear, the journal holds exactly the events an
+    /// uncleared twin journals in the later epochs, in the same merged
+    /// order, at one shard and at several.
+    #[test]
+    fn a_cleared_journal_holds_exactly_the_later_epochs() {
+        let mut config = FleetConfig::new(24, 11);
+        config.epoch_years = 1.5;
+        config.memory = Some(MemoryConfig::demo());
+        config.autopilot = Some(AutopilotConfig::demo());
+        for shards in [1, 3] {
+            let mut sim = FleetSim::new_sharded(config.clone(), shards).expect("valid config");
+            let mut twin = FleetSim::new_sharded(config.clone(), shards).expect("valid config");
+            sim.run(4).expect("simulates");
+            twin.run(4).expect("simulates");
+            sim.clear_journal();
+            assert!(sim.journal().is_empty());
+            sim.run(6).expect("simulates");
+            twin.run(6).expect("simulates");
+            let later: Vec<JournalEvent> = twin
+                .journal()
+                .into_iter()
+                .filter(|event| event.epoch > 4)
+                .collect();
+            assert!(!later.is_empty(), "{shards} shards");
+            assert_eq!(sim.journal(), later, "{shards} shards");
+        }
     }
 
     /// The shard partition covers every chip for any requested count,

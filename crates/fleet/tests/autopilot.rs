@@ -240,14 +240,16 @@ fn autopilot_with_memory_axis_is_shard_invariant() {
 fn pre_autopilot_fixture_arms_and_resumes_as_format_four() {
     let fixture: &[u8] = include_bytes!("fixtures/pre-mem-state.bin");
     assert_eq!(frame_version(fixture), 2);
-    let mut state = FleetState::load(fixture).expect("format-2 frame loads");
+    let state = FleetState::load(fixture).expect("format-2 frame loads");
     let resumed_from = state.epoch;
 
-    state.arm_autopilot(AutopilotConfig::demo());
-    assert!(state.chips.iter().all(|c| c.pilot.is_some()));
-    assert!(state.autopilot.is_some(), "arming creates the ledger");
+    let mut sim = FleetSim::resume(state).expect("format-2 state resumes");
+    sim.arm_autopilot(AutopilotConfig::demo())
+        .expect("valid autopilot config");
+    let armed = sim.to_state();
+    assert!(armed.chips.iter().all(|c| c.pilot.is_some()));
+    assert!(armed.autopilot.is_some(), "arming creates the ledger");
 
-    let mut sim = FleetSim::resume(state).expect("armed state resumes");
     sim.run(12).expect("simulates");
     assert!(sim.epoch() > resumed_from);
 

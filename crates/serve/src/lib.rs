@@ -18,7 +18,8 @@
 //!   one round trip; each element answers with the exact bytes its
 //!   single call would have produced, errors included.
 //! * `POST /v1/telemetry` — per-chip aging samples advance a hosted
-//!   [`FleetSim`](agequant_fleet::FleetSim), journaled live. Reported
+//!   [`FleetSim`](agequant_fleet::FleetSim), whose journal each call
+//!   appends to the journal file and then releases. Reported
 //!   ΔVth is cross-checked against the model and the residual is fed
 //!   to the metrics gauge and (for enrolled chips) the autopilot's
 //!   rate estimator; enrolled chips get a cadence hint back.

@@ -130,25 +130,6 @@ struct Job {
     deadline: Instant,
 }
 
-/// The hosted fleet plus its incremental journal cursor.
-struct FleetHost {
-    sim: FleetSim,
-    /// The first epoch whose events are not yet in the journal file.
-    next_epoch: u64,
-    /// Journal events already flushed to the journal file.
-    flushed: usize,
-}
-
-impl FleetHost {
-    fn new(sim: FleetSim) -> Self {
-        FleetHost {
-            sim,
-            next_epoch: 0,
-            flushed: 0,
-        }
-    }
-}
-
 /// Prerendered `/v1/plan` response bodies for one model: index by
 /// bucket, answer with an `Arc<str>` clone — the wire-speed path.
 pub(crate) struct RenderedPlans {
@@ -214,7 +195,7 @@ pub(crate) struct Shared {
     /// Lazily built deciders for non-default zoo models requested via
     /// `POST /v1/plan`'s `model` field, keyed by zoo name.
     model_deciders: RwLock<BTreeMap<String, Arc<Decider>>>,
-    fleet: Mutex<FleetHost>,
+    fleet: Mutex<FleetSim>,
     pub(crate) metrics: Metrics,
     queue: BoundedQueue<Job>,
     /// The swap cell behind the event loop's and every worker's table
@@ -272,12 +253,6 @@ impl ServerHandle {
         initiate_shutdown(&self.shared);
     }
 
-    /// True once a drain has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.is_draining()
-    }
-
     /// Waits for the drain to complete: listener closed, queue empty,
     /// workers exited, every connection wound down by the loop. The
     /// handle stays usable afterwards (e.g. for [`write_checkpoint`]).
@@ -325,7 +300,7 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
     let decider = Arc::new(
         Decider::with_engine(&fleet_config, Arc::clone(&engine)).map_err(ServeError::Fleet)?,
     );
-    let sim = FleetSim::new_with_decider(Arc::clone(&decider)).map_err(ServeError::Fleet)?;
+    let mut sim = FleetSim::new_with_decider(Arc::clone(&decider)).map_err(ServeError::Fleet)?;
 
     let listener = TcpListener::bind(&config.addr)
         .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
@@ -336,13 +311,12 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
         .local_addr()
         .map_err(|e| ServeError::Io(e.to_string()))?;
 
-    let mut host = FleetHost::new(sim);
     if let Some(path) = &config.journal {
         // Each server run owns its journal file from epoch 0, so the
         // file alone satisfies the journal causality lint.
         std::fs::write(path, "").map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
-        flush_journal(&config, &mut host)?;
     }
+    flush_journal(&config, &mut sim)?;
 
     // Materialize the default model's decision table on a throwaway
     // decider (its own engine), so the shared engine's cache counters
@@ -369,7 +343,7 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
         decider,
         engine,
         model_deciders: RwLock::new(BTreeMap::new()),
-        fleet: Mutex::new(host),
+        fleet: Mutex::new(sim),
         metrics: Metrics::new(),
         plans,
         completions: Mutex::new(Vec::new()),
@@ -545,11 +519,10 @@ pub(crate) fn route(
             // The memory and autopilot rollups need the fleet summary;
             // scrapes only pay for building it when an axis is live.
             let (memory, autopilot) = {
-                let host = shared.fleet.lock().expect("unpoisoned fleet");
-                let wants =
-                    shared.decider.memory().is_some() || host.sim.config().autopilot.is_some();
+                let sim = shared.fleet.lock().expect("unpoisoned fleet");
+                let wants = shared.decider.memory().is_some() || sim.config().autopilot.is_some();
                 if wants {
-                    let summary = host.sim.summary();
+                    let summary = sim.summary();
                     (summary.memory, summary.autopilot)
                 } else {
                     (None, None)
@@ -568,8 +541,8 @@ pub(crate) fn route(
         }
         Endpoint::Models => Routed::Ready(models_response(shared)),
         Endpoint::Summary => {
-            let host = shared.fleet.lock().expect("unpoisoned fleet");
-            Routed::Ready(Response::json(200, host.sim.summary().to_json()))
+            let sim = shared.fleet.lock().expect("unpoisoned fleet");
+            Routed::Ready(Response::json(200, sim.summary().to_json()))
         }
         Endpoint::MemorySummary => Routed::Ready(memory_summary_response(shared)),
         Endpoint::AutopilotSummary => Routed::Ready(autopilot_summary_response(shared)),
@@ -821,11 +794,11 @@ fn memory_summary_response(shared: &Shared) -> Response {
     let Some(memory) = shared.decider.memory() else {
         return Response::json(404, error_body("memory axis disabled"));
     };
-    let host = shared.fleet.lock().expect("unpoisoned fleet");
-    let Some(fleet) = host.sim.summary().memory else {
+    let sim = shared.fleet.lock().expect("unpoisoned fleet");
+    let Some(fleet) = sim.summary().memory else {
         return Response::json(404, error_body("memory axis disabled"));
     };
-    drop(host);
+    drop(sim);
     Response::json(
         200,
         render_value(&obj(vec![
@@ -855,13 +828,13 @@ fn handle_enroll(shared: &Shared, request: &EnrollRequest) -> Response {
     if let Some(burst) = request.budget_burst {
         autopilot.budget_burst = burst;
     }
-    let mut host = shared.fleet.lock().expect("unpoisoned fleet");
-    let already_armed = host.sim.config().autopilot.is_some();
-    if let Err(e) = host.sim.arm_autopilot(autopilot.clone()) {
+    let mut sim = shared.fleet.lock().expect("unpoisoned fleet");
+    let already_armed = sim.config().autopilot.is_some();
+    if let Err(e) = sim.arm_autopilot(autopilot.clone()) {
         return Response::json(400, error_body(&e.to_string()));
     }
-    let enrolled = host.sim.chip_count() as u64;
-    drop(host);
+    let enrolled = sim.chip_count() as u64;
+    drop(sim);
     Response::json(
         200,
         render_value(&obj(vec![
@@ -882,14 +855,14 @@ fn handle_enroll(shared: &Shared, request: &EnrollRequest) -> Response {
 /// autopilot existed, so unenrolled deployments see no change.
 fn autopilot_summary_response(shared: &Shared) -> Response {
     use serde::Serialize;
-    let host = shared.fleet.lock().expect("unpoisoned fleet");
-    let Some(config) = host.sim.config().autopilot.clone() else {
+    let sim = shared.fleet.lock().expect("unpoisoned fleet");
+    let Some(config) = sim.config().autopilot.clone() else {
         return Response::json(404, error_body("autopilot not enrolled"));
     };
-    let Some(fleet) = host.sim.summary().autopilot else {
+    let Some(fleet) = sim.summary().autopilot else {
         return Response::json(404, error_body("autopilot not enrolled"));
     };
-    drop(host);
+    drop(sim);
     Response::json(
         200,
         render_value(&obj(vec![
@@ -900,8 +873,8 @@ fn autopilot_summary_response(shared: &Shared) -> Response {
 }
 
 fn handle_telemetry(shared: &Shared, request: &TelemetryRequest) -> Response {
-    let mut host = shared.fleet.lock().expect("unpoisoned fleet");
-    let fleet_size = host.sim.chip_count();
+    let mut sim = shared.fleet.lock().expect("unpoisoned fleet");
+    let fleet_size = sim.chip_count();
     if request.chip as usize >= fleet_size {
         return Response::json(
             404,
@@ -911,7 +884,7 @@ fn handle_telemetry(shared: &Shared, request: &TelemetryRequest) -> Response {
             )),
         );
     }
-    let current = host.sim.epoch();
+    let current = sim.epoch();
     if request.epoch > current + MAX_EPOCH_ADVANCE {
         return Response::json(
             400,
@@ -926,25 +899,24 @@ fn handle_telemetry(shared: &Shared, request: &TelemetryRequest) -> Response {
     // bucket and journals the events. Reported ΔVth never overwrites
     // the model (the checkpoint must stay kinetics-consistent); it is
     // cross-checked in the response instead.
-    while host.sim.epoch() < request.epoch {
-        if let Err(e) = host.sim.step() {
+    while sim.epoch() < request.epoch {
+        if let Err(e) = sim.step() {
             return Response::json(500, error_body(&e.to_string()));
         }
     }
-    if let Err(e) = flush_journal(&shared.config, &mut host) {
+    if let Err(e) = flush_journal(&shared.config, &mut sim) {
         return Response::json(500, error_body(&e.to_string()));
     }
 
-    let epoch = host.sim.epoch();
-    let chip = host
-        .sim
+    let epoch = sim.epoch();
+    let chip = sim
         .chip(request.chip as usize)
         .expect("chip index bounds-checked above");
     #[allow(clippy::cast_precision_loss)]
-    let years = epoch as f64 * host.sim.config().epoch_years;
+    let years = epoch as f64 * sim.config().epoch_years;
     let model_mv = chip.shift_at(years).millivolts();
     let consistent = request.delta_vth_mv.map(|reported| {
-        let bucket_mv = host.sim.config().bucket_mv;
+        let bucket_mv = sim.config().bucket_mv;
         (reported - model_mv).abs() < bucket_mv
     });
     // The report-vs-model residual feeds two consumers: the exported
@@ -954,12 +926,9 @@ fn handle_telemetry(shared: &Shared, request: &TelemetryRequest) -> Response {
     let residual = request.delta_vth_mv.map(|reported| reported - model_mv);
     if let Some(residual) = residual {
         shared.metrics.record_residual(residual);
-        host.sim.report_residual(request.chip as usize, residual);
+        sim.report_residual(request.chip as usize, residual);
     }
-    let pilot = host
-        .sim
-        .chip(request.chip as usize)
-        .and_then(|chip| chip.pilot);
+    let pilot = sim.chip(request.chip as usize).and_then(|chip| chip.pilot);
     let mut fields = vec![
         ("chip", Value::UInt(u64::from(chip.id))),
         ("epoch", Value::UInt(epoch)),
@@ -991,42 +960,26 @@ fn handle_telemetry(shared: &Shared, request: &TelemetryRequest) -> Response {
     Response::json(200, render_value(&obj(fields)))
 }
 
-/// Appends journal events past the flushed cursor to the configured
-/// journal file, returning how many were appended.
-///
-/// The cursor is an epoch, not an event count: every event is pushed
-/// while `step` finishes its epoch, or at epoch 0 while the fleet is
-/// built, so once the events through the fleet's current epoch are
-/// flushed no earlier epoch gains another. Only the unflushed tail is
-/// merged, so a flush costs the events it writes, not the uptime.
-fn flush_journal(config: &ServeConfig, host: &mut FleetHost) -> Result<usize, ServeError> {
-    let Some(path) = &config.journal else {
-        return Ok(0);
-    };
-    let events = host.sim.journal_since(host.next_epoch);
-    debug_assert_eq!(
-        host.flushed + events.len(),
-        host.sim
-            .shards()
-            .iter()
-            .map(|shard| shard.journal().len())
-            .sum::<usize>(),
-        "a journal event landed at an already-flushed epoch"
-    );
-    if !events.is_empty() {
-        let text = journal::to_jsonl(&events);
-        use std::io::Write;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
-        file.write_all(text.as_bytes())
-            .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
+/// Appends the hosted fleet's journal to the configured journal file,
+/// then clears it, so the fleet holds only the events since the last
+/// flush. A failed append keeps the events for the next flush; without
+/// a journal file they are dropped.
+fn flush_journal(config: &ServeConfig, sim: &mut FleetSim) -> Result<(), ServeError> {
+    if let Some(path) = &config.journal {
+        let events = sim.journal();
+        if !events.is_empty() {
+            use std::io::Write;
+            let mut file = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
+            file.write_all(journal::to_jsonl(&events).as_bytes())
+                .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
+        }
     }
-    host.next_epoch = host.sim.epoch() + 1;
-    host.flushed += events.len();
-    Ok(events.len())
+    sim.clear_journal();
+    Ok(())
 }
 
 /// Writes the hosted fleet's checkpoint, for post-run linting: the
@@ -1038,11 +991,10 @@ fn flush_journal(config: &ServeConfig, host: &mut FleetHost) -> Result<usize, Se
 ///
 /// Returns [`ServeError::Io`] when the file cannot be written.
 pub fn write_checkpoint(handle: &ServerHandle, path: &str) -> Result<(), ServeError> {
-    let host = handle.shared.fleet.lock().expect("unpoisoned fleet");
+    let sim = handle.shared.fleet.lock().expect("unpoisoned fleet");
     // Shard-direct encode: skips materializing a Vec<Chip> of the
     // whole hosted fleet while the fleet lock is held.
-    let frame = host
-        .sim
+    let frame = sim
         .checkpoint_binary()
         .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
     agequant_fleet::persist::atomic_write(std::path::Path::new(path), &frame)
@@ -1160,45 +1112,79 @@ pub fn plan_response(decider: &Decider, decision: &Decision) -> Value {
 mod tests {
     use super::*;
 
-    /// One flush merges exactly the epoch it catches up on, whether
-    /// 2 or 40 epochs of history sit behind it.
-    #[test]
-    fn a_flush_merges_only_the_unflushed_epoch() {
-        let dir = std::env::temp_dir().join(format!("agequant-flush-{}", std::process::id()));
+    /// A scratch directory unique to one test in this process.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("agequant-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("journal.jsonl");
-        let config = ServeConfig {
-            journal: Some(path.to_string_lossy().into_owned()),
-            ..ServeConfig::default()
-        };
-        // An autopilot fleet journals its cadence grants every epoch.
+        dir
+    }
+
+    /// An autopilot fleet journals its cadence grants every epoch.
+    fn autopilot_fleet() -> FleetSim {
         let mut fleet_config = FleetConfig::new(8, 7);
-        fleet_config.epoch_years = 0.5;
         fleet_config.autopilot = Some(AutopilotConfig::demo());
-        let mut host = FleetHost::new(FleetSim::new(fleet_config).expect("valid config"));
-        flush_journal(&config, &mut host).expect("flushes epoch 0");
-        for history in [2, 40] {
-            while host.sim.epoch() < history {
-                host.sim.step().expect("steps");
-                flush_journal(&config, &mut host).expect("flushes");
-            }
-            host.sim.step().expect("steps");
-            let epoch = host.sim.epoch();
-            let own = host
-                .sim
-                .journal()
-                .iter()
-                .filter(|event| event.epoch == epoch)
-                .count();
-            assert!(own > 0, "epoch {epoch} journals events");
-            let merged = flush_journal(&config, &mut host).expect("flushes");
-            assert_eq!(
-                merged, own,
-                "after {history} epochs of history, the flush merged more than epoch {epoch}"
-            );
+        FleetSim::new_sharded(fleet_config, 3).expect("valid config")
+    }
+
+    fn journal_config(path: Option<&std::path::Path>) -> ServeConfig {
+        ServeConfig {
+            journal: path.map(|path| path.to_string_lossy().into_owned()),
+            ..ServeConfig::default()
         }
+    }
+
+    /// Every flush leaves the hosted fleet holding no events, with a
+    /// journal file or without one, and the file gains each event once:
+    /// it ends equal to the whole journal of a twin fleet that never
+    /// clears.
+    #[test]
+    fn every_flush_releases_the_hosted_journal() {
+        let dir = scratch_dir("flush");
+        let path = dir.join("journal.jsonl");
+        for file in [None, Some(path.as_path())] {
+            let config = journal_config(file);
+            if let Some(file) = file {
+                std::fs::write(file, "").expect("journal file");
+            }
+            let mut sim = autopilot_fleet();
+            let mut twin = autopilot_fleet();
+            flush_journal(&config, &mut sim).expect("flushes epoch 0");
+            assert!(sim.journal().is_empty());
+            while sim.epoch() < 40 {
+                sim.step().expect("steps");
+                twin.step().expect("steps");
+                flush_journal(&config, &mut sim).expect("flushes");
+                assert!(sim.journal().is_empty(), "epoch {} held", sim.epoch());
+            }
+            if let Some(file) = file {
+                let text = std::fs::read_to_string(file).expect("journal file");
+                assert_eq!(text, journal::to_jsonl(&twin.journal()));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A flush whose append fails reports it and keeps the events; the
+    /// next flush that can write appends each of them exactly once.
+    #[test]
+    fn a_failed_flush_keeps_its_events_for_the_next() {
+        let dir = scratch_dir("flush-retry");
+        let path = dir.join("journal.jsonl");
+        let unwritable = journal_config(Some(&dir));
+        let writable = journal_config(Some(&path));
+        let mut sim = autopilot_fleet();
+        let mut twin = autopilot_fleet();
+        sim.run(3).expect("simulates");
+        twin.run(3).expect("simulates");
+        assert!(flush_journal(&unwritable, &mut sim).is_err());
+        assert_eq!(sim.journal(), twin.journal(), "the failed flush kept them");
+        sim.run(2).expect("simulates");
+        twin.run(2).expect("simulates");
+        assert!(flush_journal(&unwritable, &mut sim).is_err());
+        flush_journal(&writable, &mut sim).expect("flushes");
+        assert!(sim.journal().is_empty());
         let text = std::fs::read_to_string(&path).expect("journal file");
-        assert_eq!(text, journal::to_jsonl(&host.sim.journal()));
+        assert_eq!(text, journal::to_jsonl(&twin.journal()));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
