@@ -1,19 +1,7 @@
 //! `agequant-fleet` — simulate a fleet of aging NPUs and serve each
 //! chip its compression/quantization decision.
 //!
-//! ```text
-//! agequant-fleet run     --out DIR [--chips N] [--epochs E] [--seed S]
-//!                        [--epoch-years Y] [--bucket-mv MV]
-//!                        [--constraint-factor F] [--network NAME|none]
-//!                        [--model nbti|hci|surrogate[:CURVE.json]]
-//!                        [--memory] [--shards N] [--json]
-//! agequant-fleet resume  --out DIR --epochs E [--shards N] [--json]
-//! agequant-fleet autopilot --out DIR [--chips N] [--epochs E] [--seed S]
-//!                        [--budget N] [--burst N] [--memory] [--shards N]
-//!                        [--resume] [--json]
-//! agequant-fleet report  --out DIR [--json]
-//! agequant-fleet migrate --out DIR
-//! ```
+//! Run `agequant-fleet --help` for every subcommand's flags.
 //!
 //! `run` creates `DIR/state.bin` (binary checkpoint: versioned,
 //! length-prefixed, CRC-checked frame), `DIR/journal.jsonl` (event
@@ -27,25 +15,72 @@
 //! sampled on regime-dependent cadences under a fleet telemetry
 //! budget instead of being polled every epoch; with `--resume` it
 //! arms the controller on an existing (even pre-autopilot)
-//! checkpoint and continues. `report` re-renders the summary from
-//! the checkpoint alone. `migrate` converts a legacy `state.json`
-//! checkpoint (any supported format version) into `state.bin` in
-//! place; it is the only reader of the JSON form, and it refuses to
-//! run when `state.bin` already exists.
+//! checkpoint and continues. The checkpoint fixes the resumed fleet,
+//! so `--resume` refuses `--chips`, `--seed` and `--memory`. `report`
+//! re-renders the summary from the checkpoint alone. `migrate`
+//! converts a legacy `state.json` checkpoint (any supported format
+//! version) into `state.bin` in place; it is the only reader of the
+//! JSON form, and it refuses to run when `state.bin` already exists.
+//!
+//! `run`, `resume` and `autopilot` share one run path. After every
+//! epoch it appends the journaled events to `journal.jsonl` and
+//! clears them, so memory grows with one epoch of events, not with
+//! the run. The atomic write of `state.bin` commits the run: if any
+//! step before it fails, `journal.jsonl` is cut back to the length it
+//! had when the command started (empty for a new fleet), so it never
+//! holds events past the checkpoint's epoch.
 
+use std::error::Error;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use agequant_aging::{ModelSpec, TechProfile};
 use agequant_fleet::{
-    journal, persist, AutopilotConfig, FleetConfig, FleetError, FleetSim, FleetState,
+    persist, AutopilotConfig, FleetConfig, FleetError, FleetSim, FleetState, FleetSummary,
 };
+use agequant_mem::MemoryConfig;
 use agequant_nn::NetArch;
 
-struct CommonOpts {
+type Failure = Box<dyn Error>;
+
+/// One subcommand: its name, the flags it accepts (space-separated),
+/// and its body.
+type Command = (&'static str, &'static str, fn(Opts) -> Result<(), Failure>);
+
+const COMMANDS: &[Command] = &[
+    (
+        "run",
+        "--out --chips --epochs --seed --epoch-years --bucket-mv --constraint-factor \
+         --network --model --memory --shards --json",
+        cmd_run,
+    ),
+    ("resume", "--out --epochs --shards --json", cmd_resume),
+    (
+        "autopilot",
+        "--out --chips --epochs --seed --budget --burst --memory --shards --resume \
+         --json",
+        cmd_autopilot,
+    ),
+    ("report", "--out --json", cmd_report),
+    ("migrate", "--out", cmd_migrate),
+];
+
+/// The flags that shape a new fleet; a resumed checkpoint fixes them.
+const NEW_FLEET_FLAGS: &[&str] = &["--chips", "--seed", "--memory"];
+
+/// Every option of every subcommand, at its default.
+struct Opts {
     out: PathBuf,
     json: bool,
+    epochs: Option<u64>,
+    shards: Option<usize>,
+    resume: bool,
+    config: FleetConfig,
+    autopilot: AutopilotConfig,
+    /// The flags given, in command-line order.
+    given: Vec<&'static str>,
 }
 
 fn usage() -> &'static str {
@@ -57,7 +92,9 @@ fn usage() -> &'static str {
      \x20            [--shards N] [--json]\n\
      resume  --out DIR --epochs E [--shards N] [--json]\n\
      autopilot --out DIR [--chips N] [--epochs E] [--seed S] [--budget N]\n\
-     \x20            [--burst N] [--memory] [--shards N] [--resume] [--json]\n\
+     \x20            [--burst N] [--memory] [--shards N] [--json]\n\
+     autopilot --resume --out DIR [--epochs E] [--budget N] [--burst N]\n\
+     \x20            [--shards N] [--json]\n\
      report  --out DIR [--json]\n\
      migrate --out DIR\n\
      \n\
@@ -77,10 +114,74 @@ fn usage() -> &'static str {
      are sampled on Calm/Watch/Intervene cadences under a telemetry\n\
      budget of --budget messages/epoch (burst capacity --burst); with\n\
      --resume it arms the controller on the existing checkpoint (any\n\
-     format vintage) and continues from there. migrate rewrites a\n\
-     legacy state.json checkpoint as the binary state.bin format\n\
-     (refusing when state.bin already exists); every other command\n\
-     reads state.bin only.\n"
+     format vintage) and continues from there, refusing --chips,\n\
+     --seed and --memory (the checkpoint fixes them). run, resume and\n\
+     autopilot append each epoch's events to journal.jsonl as they\n\
+     go; state.bin commits the run, and a command that fails before\n\
+     writing it cuts journal.jsonl back to its length at the start\n\
+     (empty for a new fleet). migrate rewrites a legacy state.json\n\
+     checkpoint as the binary state.bin format (refusing when\n\
+     state.bin already exists); every other command reads state.bin\n\
+     only.\n"
+}
+
+/// Parses `args` into [`Opts`], refusing any flag not in `accepted`.
+fn parse(args: &[String], accepted: &'static str) -> Result<Opts, Failure> {
+    let mut opts = Opts {
+        out: PathBuf::from("results/fleet"),
+        json: false,
+        epochs: None,
+        shards: None,
+        resume: false,
+        config: FleetConfig::new(100, 7),
+        autopilot: AutopilotConfig::demo(),
+        given: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let flag = accepted
+            .split_whitespace()
+            .find(|&flag| flag == arg.as_str())
+            .ok_or_else(|| format!("unknown argument {arg:?}"))?;
+        opts.given.push(flag);
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match flag {
+            "--out" => opts.out = PathBuf::from(value()?),
+            "--json" => opts.json = true,
+            "--chips" => opts.config.chips = number(flag, value()?)?,
+            "--epochs" => opts.epochs = Some(number(flag, value()?)?),
+            "--seed" => opts.config.seed = number(flag, value()?)?,
+            "--epoch-years" => opts.config.epoch_years = number(flag, value()?)?,
+            "--bucket-mv" => opts.config.bucket_mv = number(flag, value()?)?,
+            "--constraint-factor" => opts.config.constraint_factor = number(flag, value()?)?,
+            "--network" => opts.config.network = parse_network(value()?)?,
+            "--model" => opts.config.flow.model = Some(parse_model(value()?)?),
+            "--memory" => opts.config.memory = Some(MemoryConfig::demo()),
+            "--shards" => {
+                let shards = number(flag, value()?)?;
+                if shards == 0 {
+                    return Err("--shards must be at least 1".into());
+                }
+                opts.shards = Some(shards);
+            }
+            "--budget" => opts.autopilot.budget_messages_per_epoch = number(flag, value()?)?,
+            "--burst" => opts.autopilot.budget_burst = number(flag, value()?)?,
+            "--resume" => opts.resume = true,
+            _ => unreachable!("{flag} is accepted but has no handler"),
+        }
+    }
+    Ok(opts)
+}
+
+fn number<T: FromStr>(flag: &str, text: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn parse_network(name: &str) -> Result<Option<NetArch>, String> {
@@ -130,17 +231,6 @@ fn parse_model(spec: &str) -> Result<ModelSpec, String> {
     })
 }
 
-fn append_file(path: &Path, contents: &str) -> Result<(), FleetError> {
-    use std::io::Write;
-    let mut file = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| FleetError::Io(format!("{}: {e}", path.display())))?;
-    file.write_all(contents.as_bytes())
-        .map_err(|e| FleetError::Io(format!("{}: {e}", path.display())))
-}
-
 /// Loads `DIR/state.bin` through [`FleetState::load`], which checks
 /// the frame's checksum. A directory holding only a legacy
 /// `state.json` is refused with a pointer to `agequant-fleet migrate`.
@@ -165,267 +255,122 @@ fn read_state(dir: &Path) -> Result<FleetState, FleetError> {
     })
 }
 
-fn finish(sim: &FleetSim, common: &CommonOpts, append_journal: bool) -> Result<(), FleetError> {
-    fs::create_dir_all(&common.out)
-        .map_err(|e| FleetError::Io(format!("{}: {e}", common.out.display())))?;
-    let journal_text = journal::to_jsonl(&sim.journal());
-    let journal_path = common.out.join("journal.jsonl");
-    if append_journal {
-        append_file(&journal_path, &journal_text)?;
-    } else {
-        persist::atomic_write(&journal_path, journal_text.as_bytes())?;
-    }
-    // Shard-direct encode: no intermediate Vec<Chip> of the fleet.
-    persist::atomic_write(&common.out.join("state.bin"), &sim.checkpoint_binary()?)?;
-    let summary = sim.summary();
-    persist::atomic_write(
-        &common.out.join("summary.json"),
-        summary.to_json().as_bytes(),
-    )?;
-    if common.json {
-        println!("{}", summary.to_json());
-    } else {
-        print!("{}", summary.render_text());
-    }
-    Ok(())
+fn cmd_run(opts: Opts) -> Result<(), Failure> {
+    drive(opts, false)
 }
 
-fn parse_shards(text: &str) -> Result<usize, String> {
-    let shards: usize = text.parse().map_err(|e| format!("--shards: {e}"))?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
+fn cmd_resume(mut opts: Opts) -> Result<(), Failure> {
+    if opts.epochs.is_none() {
+        return Err("resume requires --epochs".into());
     }
-    Ok(shards)
+    opts.resume = true;
+    drive(opts, false)
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let mut config = FleetConfig::new(100, 7);
-    let mut epochs: u64 = 20;
-    let mut shards: Option<usize> = None;
-    let mut common = CommonOpts {
-        out: PathBuf::from("results/fleet"),
-        json: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--chips" => {
-                config.chips = value("--chips")?
-                    .parse()
-                    .map_err(|e| format!("--chips: {e}"))?
-            }
-            "--epochs" => {
-                epochs = value("--epochs")?
-                    .parse()
-                    .map_err(|e| format!("--epochs: {e}"))?
-            }
-            "--seed" => {
-                config.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--epoch-years" => {
-                config.epoch_years = value("--epoch-years")?
-                    .parse()
-                    .map_err(|e| format!("--epoch-years: {e}"))?;
-            }
-            "--bucket-mv" => {
-                config.bucket_mv = value("--bucket-mv")?
-                    .parse()
-                    .map_err(|e| format!("--bucket-mv: {e}"))?;
-            }
-            "--constraint-factor" => {
-                config.constraint_factor = value("--constraint-factor")?
-                    .parse()
-                    .map_err(|e| format!("--constraint-factor: {e}"))?;
-            }
-            "--network" => config.network = parse_network(&value("--network")?)?,
-            "--model" => config.flow.model = Some(parse_model(&value("--model")?)?),
-            "--memory" => config.memory = Some(agequant_mem::MemoryConfig::demo()),
-            "--shards" => shards = Some(parse_shards(&value("--shards")?)?),
-            "--out" => common.out = PathBuf::from(value("--out")?),
-            "--json" => common.json = true,
-            other => return Err(format!("unknown argument {other:?}")),
+fn cmd_autopilot(opts: Opts) -> Result<(), Failure> {
+    if opts.resume {
+        if let Some(flag) = opts
+            .given
+            .iter()
+            .find(|flag| NEW_FLEET_FLAGS.contains(flag))
+        {
+            return Err(format!(
+                "{flag} cannot be used with autopilot --resume: the checkpoint fixes the \
+                 fleet's chips, seed and memory axis"
+            )
+            .into());
         }
     }
-    let mut sim = match shards {
-        Some(n) => FleetSim::new_sharded(config, n),
-        None => FleetSim::new(config),
-    }
-    .map_err(|e| e.to_string())?;
-    sim.run(epochs).map_err(|e| e.to_string())?;
-    finish(&sim, &common, false).map_err(|e| e.to_string())
+    drive(opts, true)
 }
 
-fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let mut epochs: Option<u64> = None;
-    let mut shards: Option<usize> = None;
-    let mut common = CommonOpts {
-        out: PathBuf::from("results/fleet"),
-        json: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--epochs" => {
-                epochs = Some(
-                    value("--epochs")?
-                        .parse()
-                        .map_err(|e| format!("--epochs: {e}"))?,
-                );
-            }
-            "--shards" => shards = Some(parse_shards(&value("--shards")?)?),
-            "--out" => common.out = PathBuf::from(value("--out")?),
-            "--json" => common.json = true,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    let epochs = epochs.ok_or("resume requires --epochs")?;
-    let state = read_state(&common.out).map_err(|e| e.to_string())?;
-    let mut sim = match shards {
-        Some(n) => FleetSim::resume_sharded(state, n),
-        None => FleetSim::resume(state),
-    }
-    .map_err(|e| e.to_string())?;
-    sim.run(epochs).map_err(|e| e.to_string())?;
-    finish(&sim, &common, true).map_err(|e| e.to_string())
-}
-
-fn cmd_autopilot(args: &[String]) -> Result<(), String> {
-    let mut config = FleetConfig::new(100, 7);
-    let mut autopilot = AutopilotConfig::demo();
-    let mut epochs: u64 = 20;
-    let mut shards: Option<usize> = None;
-    let mut resume = false;
-    let mut common = CommonOpts {
-        out: PathBuf::from("results/fleet"),
-        json: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--chips" => {
-                config.chips = value("--chips")?
-                    .parse()
-                    .map_err(|e| format!("--chips: {e}"))?
-            }
-            "--epochs" => {
-                epochs = value("--epochs")?
-                    .parse()
-                    .map_err(|e| format!("--epochs: {e}"))?
-            }
-            "--seed" => {
-                config.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--budget" => {
-                autopilot.budget_messages_per_epoch = value("--budget")?
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?;
-            }
-            "--burst" => {
-                autopilot.budget_burst = value("--burst")?
-                    .parse()
-                    .map_err(|e| format!("--burst: {e}"))?;
-            }
-            "--memory" => config.memory = Some(agequant_mem::MemoryConfig::demo()),
-            "--shards" => shards = Some(parse_shards(&value("--shards")?)?),
-            "--resume" => resume = true,
-            "--out" => common.out = PathBuf::from(value("--out")?),
-            "--json" => common.json = true,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    let mut sim = if resume {
-        let state = read_state(&common.out).map_err(|e| e.to_string())?;
-        let mut sim = match shards {
+/// The one run path of `run`, `resume` and `autopilot`: builds a new
+/// fleet or resumes `DIR/state.bin`, arms the autopilot when `armed`,
+/// steps `--epochs` epochs (default 20) with a journal flush after
+/// each, and commits with the checkpoint. A failure before the commit
+/// cuts `journal.jsonl` back to its length at the start.
+fn drive(opts: Opts, armed: bool) -> Result<(), Failure> {
+    let mut sim = if opts.resume {
+        let state = read_state(&opts.out)?;
+        let mut sim = match opts.shards {
             Some(n) => FleetSim::resume_sharded(state, n),
             None => FleetSim::resume(state),
+        }?;
+        if armed {
+            // Arming upgrades any checkpoint vintage: the budget ledger
+            // and per-chip pilot state are created fresh where missing,
+            // and the next save writes the format-4 frame.
+            sim.arm_autopilot(opts.autopilot)?;
         }
-        .map_err(|e| e.to_string())?;
-        // Arming upgrades any checkpoint vintage: the budget ledger
-        // and per-chip pilot state are created fresh where missing,
-        // and the next save writes the format-4 frame.
-        sim.arm_autopilot(autopilot).map_err(|e| e.to_string())?;
         sim
     } else {
-        config.autopilot = Some(autopilot);
-        match shards {
+        let mut config = opts.config;
+        config.autopilot = armed.then_some(opts.autopilot);
+        match opts.shards {
             Some(n) => FleetSim::new_sharded(config, n),
             None => FleetSim::new(config),
-        }
-        .map_err(|e| e.to_string())?
+        }?
     };
-    sim.run(epochs).map_err(|e| e.to_string())?;
-    finish(&sim, &common, resume).map_err(|e| e.to_string())
+    let io = |path: &Path, e: std::io::Error| FleetError::Io(format!("{}: {e}", path.display()));
+    fs::create_dir_all(&opts.out).map_err(|e| io(&opts.out, e))?;
+    let journal = opts.out.join("journal.jsonl");
+    // A resumed fleet extends its journal; a new one starts it empty.
+    let start = if opts.resume {
+        fs::metadata(&journal).map_or(0, |meta| meta.len())
+    } else {
+        fs::File::create(&journal).map_err(|e| io(&journal, e))?;
+        0
+    };
+    if let Err(e) = advance(&mut sim, opts.epochs.unwrap_or(20), &opts.out) {
+        // Best effort: the run's own error is the one to report.
+        if let Ok(file) = fs::OpenOptions::new().write(true).open(&journal) {
+            let _ = file.set_len(start);
+        }
+        return Err(e.into());
+    }
+    let summary = sim.summary();
+    persist::atomic_write(&opts.out.join("summary.json"), summary.to_json().as_bytes())?;
+    print_summary(&summary, opts.json);
+    Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let mut common = CommonOpts {
-        out: PathBuf::from("results/fleet"),
-        json: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--out" => common.out = PathBuf::from(value("--out")?),
-            "--json" => common.json = true,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
+/// Steps `epochs` epochs, appending the journal to `DIR/journal.jsonl`
+/// and clearing it before the first and after each one, then writes
+/// `DIR/state.bin`: the run's commit point.
+fn advance(sim: &mut FleetSim, epochs: u64, dir: &Path) -> Result<(), FleetError> {
+    let journal = dir.join("journal.jsonl");
+    sim.flush_journal(Some(&journal))?;
+    for _ in 0..epochs {
+        sim.step()?;
+        sim.flush_journal(Some(&journal))?;
     }
-    let state = read_state(&common.out).map_err(|e| e.to_string())?;
-    let summary = agequant_fleet::FleetSummary::from_state(&state, None);
-    if common.json {
+    // Shard-direct encode: no intermediate Vec<Chip> of the fleet.
+    persist::atomic_write(&dir.join("state.bin"), &sim.checkpoint_binary()?)
+}
+
+fn print_summary(summary: &FleetSummary, json: bool) {
+    if json {
         println!("{}", summary.to_json());
     } else {
         print!("{}", summary.render_text());
     }
+}
+
+fn cmd_report(opts: Opts) -> Result<(), Failure> {
+    let state = read_state(&opts.out)?;
+    print_summary(&FleetSummary::from_state(&state, None), opts.json);
     Ok(())
 }
 
-fn cmd_migrate(args: &[String]) -> Result<(), String> {
-    let mut out = PathBuf::from("results/fleet");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--out" => out = PathBuf::from(value("--out")?),
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    let legacy = out.join("state.json");
-    let binary = out.join("state.bin");
+fn cmd_migrate(opts: Opts) -> Result<(), Failure> {
+    let legacy = opts.out.join("state.json");
+    let binary = opts.out.join("state.bin");
     if !legacy.exists() {
         if binary.exists() {
             println!("{}: already binary, nothing to migrate", binary.display());
             return Ok(());
         }
-        return Err(format!("{}: no checkpoint to migrate", legacy.display()));
+        return Err(format!("{}: no checkpoint to migrate", legacy.display()).into());
     }
     if binary.exists() {
         // The binary checkpoint is the one every other subcommand
@@ -434,14 +379,15 @@ fn cmd_migrate(args: &[String]) -> Result<(), String> {
             "{} already exists next to {}; refusing to overwrite it (move one of them away)",
             binary.display(),
             legacy.display()
-        ));
+        )
+        .into());
     }
     let text = fs::read_to_string(&legacy).map_err(|e| format!("{}: {e}", legacy.display()))?;
     // from_json upgrades old checkpoint format versions on load, so
     // one migrate pass handles every JSON vintage we ever wrote.
-    let state = FleetState::from_json(&text).map_err(|e| e.to_string())?;
-    let frame = state.to_binary().map_err(|e| e.to_string())?;
-    persist::atomic_write(&binary, &frame).map_err(|e| e.to_string())?;
+    let state = FleetState::from_json(&text)?;
+    let frame = state.to_binary()?;
+    persist::atomic_write(&binary, &frame)?;
     fs::remove_file(&legacy).map_err(|e| format!("{}: {e}", legacy.display()))?;
     println!(
         "migrated {} -> {} ({} chips @ epoch {}, {} bytes)",
@@ -457,16 +403,14 @@ fn cmd_migrate(args: &[String]) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("resume") => cmd_resume(&args[1..]),
-        Some("autopilot") => cmd_autopilot(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("migrate") => cmd_migrate(&args[1..]),
         Some("--help" | "-h") | None => {
             print!("{}", usage());
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}")),
+        Some(name) => match COMMANDS.iter().find(|(command, ..)| *command == name) {
+            Some((_, accepted, command)) => parse(&args[1..], accepted).and_then(command),
+            None => Err(format!("unknown subcommand {name:?}").into()),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

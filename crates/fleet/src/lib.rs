@@ -29,8 +29,8 @@
 //!   Legacy JSON checkpoints are read only by `agequant-fleet migrate`
 //!   ([`FleetState::from_json`]); [`journal`] — append-only
 //!   JSON-lines event log (replans, bucket crossings, guardband
-//!   degradations), which a host that writes it out releases with
-//!   [`FleetSim::clear_journal`].
+//!   degradations), which a host hands to its file and releases with
+//!   [`FleetSim::flush_journal`].
 //! * [`FleetSummary`] — plan-distribution and bucket histograms,
 //!   accuracy-loss percentiles, cache hit rates (aggregate and split
 //!   per degradation model).

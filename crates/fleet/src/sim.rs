@@ -42,6 +42,9 @@ use agequant_check::{par_map, par_map_mut};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::fs::OpenOptions;
+use std::io::Write;
+use std::path::Path;
 
 use agequant_aging::{ModelSpec, NbtiPowerLaw, TechProfile, VthShift};
 use agequant_autopilot::{AutopilotConfig, BudgetState, Grant, Observation, Regime};
@@ -1129,12 +1132,41 @@ impl FleetSim {
 
     /// Forgets every journaled event, so the next [`FleetSim::journal`]
     /// holds only what later epochs journal. A host that writes the
-    /// journal out calls this after each write; its fleet then holds
-    /// the events since the last write, not the whole uptime.
+    /// journal out does so through [`FleetSim::flush_journal`], which
+    /// clears after each write; its fleet then holds the events since
+    /// the last write, not the whole uptime.
     pub fn clear_journal(&mut self) {
         for shard in &mut self.shards {
             shard.clear_journal();
         }
+    }
+
+    /// Hands the held journal to its host: appends it to the
+    /// JSON-lines file at `path`, then clears it, so the sim holds
+    /// only the events since the last flush. Nothing is opened when no
+    /// event is held. A failed append keeps the events for the next
+    /// flush; with no `path` they are dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FleetError::Io`] if the file cannot be opened or
+    /// appended to.
+    pub fn flush_journal(&mut self, path: Option<&Path>) -> Result<(), FleetError> {
+        if let Some(path) = path {
+            let events = self.journal();
+            if !events.is_empty() {
+                let io = |e: std::io::Error| FleetError::Io(format!("{}: {e}", path.display()));
+                OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)
+                    .map_err(io)?
+                    .write_all(crate::journal::to_jsonl(&events).as_bytes())
+                    .map_err(io)?;
+            }
+        }
+        self.clear_journal();
+        Ok(())
     }
 
     /// The shared decision core.
@@ -1396,6 +1428,72 @@ mod tests {
             assert!(!later.is_empty(), "{shards} shards");
             assert_eq!(sim.journal(), later, "{shards} shards");
         }
+    }
+
+    /// A scratch directory unique to one test in this process.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("agequant-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    /// An autopilot fleet journals its cadence grants every epoch.
+    fn autopilot_fleet() -> FleetSim {
+        let mut config = FleetConfig::new(8, 7);
+        config.autopilot = Some(AutopilotConfig::demo());
+        FleetSim::new_sharded(config, 3).expect("valid config")
+    }
+
+    /// Every flush leaves the fleet holding no events, with a journal
+    /// file or without one, and the file gains each event once: it
+    /// ends equal to the whole journal of a twin fleet that never
+    /// clears.
+    #[test]
+    fn every_flush_releases_the_hosted_journal() {
+        let dir = scratch_dir("flush");
+        let path = dir.join("journal.jsonl");
+        for file in [None, Some(path.as_path())] {
+            if let Some(file) = file {
+                std::fs::write(file, "").expect("journal file");
+            }
+            let mut sim = autopilot_fleet();
+            let mut twin = autopilot_fleet();
+            sim.flush_journal(file).expect("flushes epoch 0");
+            assert!(sim.journal().is_empty());
+            while sim.epoch() < 40 {
+                sim.step().expect("steps");
+                twin.step().expect("steps");
+                sim.flush_journal(file).expect("flushes");
+                assert!(sim.journal().is_empty(), "epoch {} held", sim.epoch());
+            }
+            if let Some(file) = file {
+                let text = std::fs::read_to_string(file).expect("journal file");
+                assert_eq!(text, crate::journal::to_jsonl(&twin.journal()));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A flush whose append fails reports it and keeps the events; the
+    /// next flush that can write appends each of them exactly once.
+    #[test]
+    fn a_failed_flush_keeps_its_events_for_the_next() {
+        let dir = scratch_dir("flush-retry");
+        let path = dir.join("journal.jsonl");
+        let mut sim = autopilot_fleet();
+        let mut twin = autopilot_fleet();
+        sim.run(3).expect("simulates");
+        twin.run(3).expect("simulates");
+        assert!(sim.flush_journal(Some(&dir)).is_err());
+        assert_eq!(sim.journal(), twin.journal(), "the failed flush kept them");
+        sim.run(2).expect("simulates");
+        twin.run(2).expect("simulates");
+        assert!(sim.flush_journal(Some(&dir)).is_err());
+        sim.flush_journal(Some(&path)).expect("flushes");
+        assert!(sim.journal().is_empty());
+        let text = std::fs::read_to_string(&path).expect("journal file");
+        assert_eq!(text, crate::journal::to_jsonl(&twin.journal()));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The shard partition covers every chip for any requested count,

@@ -52,6 +52,7 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use agequant_check::sync::atomic::{AtomicBool, Ordering};
@@ -61,7 +62,7 @@ use agequant_check::thread::{self, JoinHandle};
 use agequant_aging::{ModelSpec, VthShift};
 use agequant_core::EvalEngine;
 use agequant_fleet::{
-    journal, AutopilotConfig, Chip, Decider, Decision, DecisionTable, FleetConfig, FleetSim, Swap,
+    AutopilotConfig, Chip, Decider, Decision, DecisionTable, FleetConfig, FleetSim, Swap,
     SwapReader,
 };
 use serde::{Deserialize, Value};
@@ -288,9 +289,9 @@ impl ServerHandle {
 /// # Errors
 ///
 /// Returns [`ServeError::Config`] on an invalid configuration,
-/// [`ServeError::Fleet`] if the decision core cannot be built, or
-/// [`ServeError::Io`] if the address cannot be bound or the journal
-/// cannot be created.
+/// [`ServeError::Fleet`] if the decision core cannot be built or the
+/// epoch-0 journal cannot be appended, or [`ServeError::Io`] if the
+/// address cannot be bound or the journal cannot be created.
 pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHandle, ServeError> {
     config.validate()?;
     let mut fleet_config = fleet_config;
@@ -316,7 +317,7 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
         // file alone satisfies the journal causality lint.
         std::fs::write(path, "").map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
     }
-    flush_journal(&config, &mut sim)?;
+    sim.flush_journal(config.journal.as_deref().map(Path::new))?;
 
     // Materialize the default model's decision table on a throwaway
     // decider (its own engine), so the shared engine's cache counters
@@ -904,7 +905,7 @@ fn handle_telemetry(shared: &Shared, request: &TelemetryRequest) -> Response {
             return Response::json(500, error_body(&e.to_string()));
         }
     }
-    if let Err(e) = flush_journal(&shared.config, &mut sim) {
+    if let Err(e) = sim.flush_journal(shared.config.journal.as_deref().map(Path::new)) {
         return Response::json(500, error_body(&e.to_string()));
     }
 
@@ -958,28 +959,6 @@ fn handle_telemetry(shared: &Shared, request: &TelemetryRequest) -> Response {
         ));
     }
     Response::json(200, render_value(&obj(fields)))
-}
-
-/// Appends the hosted fleet's journal to the configured journal file,
-/// then clears it, so the fleet holds only the events since the last
-/// flush. A failed append keeps the events for the next flush; without
-/// a journal file they are dropped.
-fn flush_journal(config: &ServeConfig, sim: &mut FleetSim) -> Result<(), ServeError> {
-    if let Some(path) = &config.journal {
-        let events = sim.journal();
-        if !events.is_empty() {
-            use std::io::Write;
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
-            file.write_all(journal::to_jsonl(&events).as_bytes())
-                .map_err(|e| ServeError::Io(format!("{path}: {e}")))?;
-        }
-    }
-    sim.clear_journal();
-    Ok(())
 }
 
 /// Writes the hosted fleet's checkpoint, for post-run linting: the
@@ -1106,85 +1085,4 @@ pub fn plan_response(decider: &Decider, decision: &Decision) -> Value {
         ));
     }
     obj(fields)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A scratch directory unique to one test in this process.
-    fn scratch_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("agequant-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir
-    }
-
-    /// An autopilot fleet journals its cadence grants every epoch.
-    fn autopilot_fleet() -> FleetSim {
-        let mut fleet_config = FleetConfig::new(8, 7);
-        fleet_config.autopilot = Some(AutopilotConfig::demo());
-        FleetSim::new_sharded(fleet_config, 3).expect("valid config")
-    }
-
-    fn journal_config(path: Option<&std::path::Path>) -> ServeConfig {
-        ServeConfig {
-            journal: path.map(|path| path.to_string_lossy().into_owned()),
-            ..ServeConfig::default()
-        }
-    }
-
-    /// Every flush leaves the hosted fleet holding no events, with a
-    /// journal file or without one, and the file gains each event once:
-    /// it ends equal to the whole journal of a twin fleet that never
-    /// clears.
-    #[test]
-    fn every_flush_releases_the_hosted_journal() {
-        let dir = scratch_dir("flush");
-        let path = dir.join("journal.jsonl");
-        for file in [None, Some(path.as_path())] {
-            let config = journal_config(file);
-            if let Some(file) = file {
-                std::fs::write(file, "").expect("journal file");
-            }
-            let mut sim = autopilot_fleet();
-            let mut twin = autopilot_fleet();
-            flush_journal(&config, &mut sim).expect("flushes epoch 0");
-            assert!(sim.journal().is_empty());
-            while sim.epoch() < 40 {
-                sim.step().expect("steps");
-                twin.step().expect("steps");
-                flush_journal(&config, &mut sim).expect("flushes");
-                assert!(sim.journal().is_empty(), "epoch {} held", sim.epoch());
-            }
-            if let Some(file) = file {
-                let text = std::fs::read_to_string(file).expect("journal file");
-                assert_eq!(text, journal::to_jsonl(&twin.journal()));
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A flush whose append fails reports it and keeps the events; the
-    /// next flush that can write appends each of them exactly once.
-    #[test]
-    fn a_failed_flush_keeps_its_events_for_the_next() {
-        let dir = scratch_dir("flush-retry");
-        let path = dir.join("journal.jsonl");
-        let unwritable = journal_config(Some(&dir));
-        let writable = journal_config(Some(&path));
-        let mut sim = autopilot_fleet();
-        let mut twin = autopilot_fleet();
-        sim.run(3).expect("simulates");
-        twin.run(3).expect("simulates");
-        assert!(flush_journal(&unwritable, &mut sim).is_err());
-        assert_eq!(sim.journal(), twin.journal(), "the failed flush kept them");
-        sim.run(2).expect("simulates");
-        twin.run(2).expect("simulates");
-        assert!(flush_journal(&unwritable, &mut sim).is_err());
-        flush_journal(&writable, &mut sim).expect("flushes");
-        assert!(sim.journal().is_empty());
-        let text = std::fs::read_to_string(&path).expect("journal file");
-        assert_eq!(text, journal::to_jsonl(&twin.journal()));
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
