@@ -22,13 +22,13 @@
 //! version) into `state.bin` in place; it is the only reader of the
 //! JSON form, and it refuses to run when `state.bin` already exists.
 //!
-//! `run`, `resume` and `autopilot` share one run path. After every
-//! epoch it appends the journaled events to `journal.jsonl` and
-//! clears them, so memory grows with one epoch of events, not with
-//! the run. The atomic write of `state.bin` commits the run: if any
-//! step before it fails, `journal.jsonl` is cut back to the length it
-//! had when the command started (empty for a new fleet), so it never
-//! holds events past the checkpoint's epoch.
+//! `run`, `resume` and `autopilot` share one run path. It appends each
+//! epoch's events to the journal and clears them, so memory grows with
+//! one epoch of events. Writing `state.bin` commits the run: a new
+//! fleet's `journal.jsonl.tmp` is renamed over `journal.jsonl` just
+//! after it, a failure before it leaves the old pair as it was, and a
+//! resume first cuts `journal.jsonl` back to the checkpoint's epoch,
+//! dropping what a killed command left past it.
 
 use std::error::Error;
 use std::fs;
@@ -38,7 +38,7 @@ use std::str::FromStr;
 
 use agequant_aging::{ModelSpec, TechProfile};
 use agequant_fleet::{
-    persist, AutopilotConfig, FleetConfig, FleetError, FleetSim, FleetState, FleetSummary,
+    journal, persist, AutopilotConfig, FleetConfig, FleetError, FleetSim, FleetState, FleetSummary,
 };
 use agequant_mem::MemoryConfig;
 use agequant_nn::NetArch;
@@ -54,7 +54,7 @@ const COMMANDS: &[Command] = &[
         "run",
         "--out --chips --epochs --seed --epoch-years --bucket-mv --constraint-factor \
          --network --model --memory --shards --json",
-        cmd_run,
+        |opts| drive(opts, false),
     ),
     ("resume", "--out --epochs --shards --json", cmd_resume),
     (
@@ -116,13 +116,13 @@ fn usage() -> &'static str {
      --resume it arms the controller on the existing checkpoint (any\n\
      format vintage) and continues from there, refusing --chips,\n\
      --seed and --memory (the checkpoint fixes them). run, resume and\n\
-     autopilot append each epoch's events to journal.jsonl as they\n\
-     go; state.bin commits the run, and a command that fails before\n\
-     writing it cuts journal.jsonl back to its length at the start\n\
-     (empty for a new fleet). migrate rewrites a legacy state.json\n\
-     checkpoint as the binary state.bin format (refusing when\n\
-     state.bin already exists); every other command reads state.bin\n\
-     only.\n"
+     autopilot append each epoch's events to the journal as they go.\n\
+     Writing state.bin commits a command: one that fails before it\n\
+     leaves journal.jsonl as it found it, and a resume first drops the\n\
+     events a killed command left past the checkpoint. migrate\n\
+     rewrites a legacy state.json checkpoint as the binary state.bin\n\
+     format (refusing when state.bin already exists); every other\n\
+     command reads state.bin only.\n"
 }
 
 /// Parses `args` into [`Opts`], refusing any flag not in `accepted`.
@@ -255,10 +255,6 @@ fn read_state(dir: &Path) -> Result<FleetState, FleetError> {
     })
 }
 
-fn cmd_run(opts: Opts) -> Result<(), Failure> {
-    drive(opts, false)
-}
-
 fn cmd_resume(mut opts: Opts) -> Result<(), Failure> {
     if opts.epochs.is_none() {
         return Err("resume requires --epochs".into());
@@ -268,18 +264,13 @@ fn cmd_resume(mut opts: Opts) -> Result<(), Failure> {
 }
 
 fn cmd_autopilot(opts: Opts) -> Result<(), Failure> {
-    if opts.resume {
-        if let Some(flag) = opts
-            .given
-            .iter()
-            .find(|flag| NEW_FLEET_FLAGS.contains(flag))
-        {
-            return Err(format!(
-                "{flag} cannot be used with autopilot --resume: the checkpoint fixes the \
-                 fleet's chips, seed and memory axis"
-            )
-            .into());
-        }
+    let fixed = opts.given.iter().find(|f| NEW_FLEET_FLAGS.contains(f));
+    if let (true, Some(flag)) = (opts.resume, fixed) {
+        return Err(format!(
+            "{flag} cannot be used with autopilot --resume: the checkpoint fixes the \
+             fleet's chips, seed and memory axis"
+        )
+        .into());
     }
     drive(opts, true)
 }
@@ -288,7 +279,7 @@ fn cmd_autopilot(opts: Opts) -> Result<(), Failure> {
 /// fleet or resumes `DIR/state.bin`, arms the autopilot when `armed`,
 /// steps `--epochs` epochs (default 20) with a journal flush after
 /// each, and commits with the checkpoint. A failure before the commit
-/// cuts `journal.jsonl` back to its length at the start.
+/// leaves the old `state.bin` and `journal.jsonl` as it found them.
 fn drive(opts: Opts, armed: bool) -> Result<(), Failure> {
     let mut sim = if opts.resume {
         let state = read_state(&opts.out)?;
@@ -314,18 +305,30 @@ fn drive(opts: Opts, armed: bool) -> Result<(), Failure> {
     let io = |path: &Path, e: std::io::Error| FleetError::Io(format!("{}: {e}", path.display()));
     fs::create_dir_all(&opts.out).map_err(|e| io(&opts.out, e))?;
     let journal = opts.out.join("journal.jsonl");
-    // A resumed fleet extends its journal; a new one starts it empty.
-    let start = if opts.resume {
-        fs::metadata(&journal).map_or(0, |meta| meta.len())
+    // A resume cuts its journal back to the checkpoint; a new fleet
+    // stages its own beside the old pair until the commit.
+    let (target, start) = if opts.resume {
+        let start = journal::truncate_after(&journal, sim.epoch())?;
+        (journal.clone(), start)
     } else {
-        fs::File::create(&journal).map_err(|e| io(&journal, e))?;
-        0
+        let staged = opts.out.join("journal.jsonl.tmp");
+        fs::File::create(&staged).map_err(|e| io(&staged, e))?;
+        (staged, 0)
     };
-    if let Err(e) = advance(&mut sim, opts.epochs.unwrap_or(20), &opts.out) {
+    // Renaming a resumed journal onto itself is a no-op.
+    let committed = advance(&mut sim, opts.epochs.unwrap_or(20), &target, &opts.out)
+        .and_then(|()| fs::rename(&target, &journal).map_err(|e| io(&journal, e)));
+    if let Err(e) = committed {
         // Best effort: the run's own error is the one to report.
-        if let Ok(file) = fs::OpenOptions::new().write(true).open(&journal) {
-            let _ = file.set_len(start);
+        if opts.resume {
+            fs::OpenOptions::new()
+                .write(true)
+                .open(&target)
+                .and_then(|f| f.set_len(start))
+        } else {
+            fs::remove_file(&target)
         }
+        .ok();
         return Err(e.into());
     }
     let summary = sim.summary();
@@ -334,15 +337,14 @@ fn drive(opts: Opts, armed: bool) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Steps `epochs` epochs, appending the journal to `DIR/journal.jsonl`
-/// and clearing it before the first and after each one, then writes
+/// Steps `epochs` epochs, appending the journal to `journal` and
+/// clearing it before the first and after each one, then writes
 /// `DIR/state.bin`: the run's commit point.
-fn advance(sim: &mut FleetSim, epochs: u64, dir: &Path) -> Result<(), FleetError> {
-    let journal = dir.join("journal.jsonl");
-    sim.flush_journal(Some(&journal))?;
+fn advance(sim: &mut FleetSim, epochs: u64, journal: &Path, dir: &Path) -> Result<(), FleetError> {
+    sim.flush_journal(Some(journal))?;
     for _ in 0..epochs {
         sim.step()?;
-        sim.flush_journal(Some(&journal))?;
+        sim.flush_journal(Some(journal))?;
     }
     // Shard-direct encode: no intermediate Vec<Chip> of the fleet.
     persist::atomic_write(&dir.join("state.bin"), &sim.checkpoint_binary()?)

@@ -7,6 +7,10 @@
 //! `agequant-lint`'s FL002 checks the causality invariants of a
 //! journal against its checkpoint.
 
+use std::fs::OpenOptions;
+use std::io::{Read, Seek, SeekFrom};
+use std::path::Path;
+
 use agequant_autopilot::Regime;
 use agequant_quant::QuantMethod;
 use agequant_sta::Padding;
@@ -158,6 +162,59 @@ pub fn from_jsonl(text: &str) -> Result<Vec<JournalEvent>, FleetError> {
         .collect()
 }
 
+/// Cuts the journal at `path` back to its last event at or before
+/// `epoch` (creating it empty if missing) and returns its length. The
+/// journal is epoch-ordered, so the later events a stopped command
+/// left, and a torn last line, are a suffix read back from the end.
+///
+/// # Errors
+///
+/// [`FleetError::Io`] if the file cannot be read or cut;
+/// [`FleetError::Malformed`], cutting nothing, for a whole line in
+/// that suffix that is not an event (or is over 64 KiB).
+pub fn truncate_after(path: &Path, epoch: u64) -> Result<u64, FleetError> {
+    let io = |e: std::io::Error| FleetError::Io(format!("{}: {e}", path.display()));
+    let malformed =
+        |at| FleetError::Malformed(format!("{}: byte {at}: not an event", path.display()));
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+        .map_err(io)?;
+    let len = file.metadata().map_err(io)?.len();
+    let mut end = len;
+    'scan: while end > 0 {
+        let from = end.saturating_sub(1 << 16);
+        let mut block = vec![0; (end - from) as usize];
+        file.seek(SeekFrom::Start(from))
+            .and_then(|_| file.read_exact(&mut block))
+            .map_err(io)?;
+        // Unless the block starts the file, its first line may be cut.
+        let first = match block.iter().position(|&b| b == b'\n') {
+            _ if from == 0 => 0,
+            Some(newline) if newline + 1 < block.len() => newline + 1,
+            _ => return Err(malformed(from)),
+        };
+        for line in block[first..].split_inclusive(|&b| b == b'\n').rev() {
+            let at = end - line.len() as u64;
+            if line.ends_with(b"\n") {
+                let text = std::str::from_utf8(line).map_err(|_| malformed(at))?;
+                let events = from_jsonl(text).map_err(|_| malformed(at))?;
+                if events.iter().all(|event| event.epoch <= epoch) {
+                    break 'scan;
+                }
+            }
+            end = at;
+        }
+    }
+    if end < len {
+        file.set_len(end).map_err(io)?;
+    }
+    Ok(end)
+}
+
 /// The `margin_mv` leaf of a serialized [`EventKind::RegimeChanged`]
 /// event — the one journaled float that can be infinite.
 fn margin_leaf(event: &mut Value) -> Option<&mut Value> {
@@ -249,6 +306,32 @@ mod tests {
             serde_json::to_string(&events[1]).expect("finite event serializes")
         );
         assert_eq!(from_jsonl(&text).expect("parses"), events);
+    }
+
+    /// A journal cut back to an epoch keeps every whole event up to it,
+    /// drops the later ones and a torn last line, and refuses to cut
+    /// past a whole line that is not an event. A missing one is created.
+    #[test]
+    fn truncate_after_drops_the_events_past_an_epoch() {
+        let path = std::env::temp_dir().join(format!("agequant-truncate-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(truncate_after(&path, 0).expect("missing file"), 0);
+        assert_eq!(std::fs::read(&path).expect("created"), b"");
+
+        let kept = to_jsonl(&events()[..1]);
+        let whole = format!("{kept}{}", to_jsonl(&events()[1..]));
+        std::fs::write(&path, format!("{whole}{{\"epoch\":4,\"ch")).expect("write journal");
+        assert_eq!(truncate_after(&path, 3).expect("cuts"), whole.len() as u64);
+        assert_eq!(truncate_after(&path, 2).expect("cuts"), kept.len() as u64);
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), kept);
+        assert_eq!(truncate_after(&path, 0).expect("keeps"), kept.len() as u64);
+
+        let text = format!("{kept}not an event\n{}", to_jsonl(&events()[1..]));
+        std::fs::write(&path, &text).expect("write journal");
+        let err = truncate_after(&path, 0).unwrap_err();
+        assert!(matches!(err, FleetError::Malformed(msg) if msg.contains("not an event")));
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), text);
+        std::fs::remove_file(&path).expect("clean up");
     }
 
     #[test]

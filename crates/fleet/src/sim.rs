@@ -1108,7 +1108,7 @@ impl FleetSim {
     }
 
     /// The events journaled since this sim was built or resumed, or
-    /// since the last [`FleetSim::clear_journal`], merged across
+    /// since the last [`FleetSim::flush_journal`], merged across
     /// shards into the order an unsharded run emits them: epoch-major,
     /// then chip-major — id order, the order decisions are applied in.
     /// A resumed sim journals only post-resume events, so appending
@@ -1130,22 +1130,13 @@ impl FleetSim {
         merged
     }
 
-    /// Forgets every journaled event, so the next [`FleetSim::journal`]
-    /// holds only what later epochs journal. A host that writes the
-    /// journal out does so through [`FleetSim::flush_journal`], which
-    /// clears after each write; its fleet then holds the events since
-    /// the last write, not the whole uptime.
-    pub fn clear_journal(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear_journal();
-        }
-    }
-
     /// Hands the held journal to its host: appends it to the
-    /// JSON-lines file at `path`, then clears it, so the sim holds
-    /// only the events since the last flush. Nothing is opened when no
-    /// event is held. A failed append keeps the events for the next
-    /// flush; with no `path` they are dropped.
+    /// JSON-lines file at `path`, then forgets it, so the next
+    /// [`FleetSim::journal`] holds only what later epochs journal and
+    /// a host's fleet holds the events since its last flush, not its
+    /// whole uptime. Nothing is opened when no event is held. A failed
+    /// append keeps the events for the next flush; with no `path` they
+    /// are dropped.
     ///
     /// # Errors
     ///
@@ -1165,7 +1156,9 @@ impl FleetSim {
                     .map_err(io)?;
             }
         }
-        self.clear_journal();
+        for shard in &mut self.shards {
+            shard.clear_journal();
+        }
         Ok(())
     }
 
@@ -1402,7 +1395,7 @@ mod tests {
         assert_eq!(state.format, Some(CHECKPOINT_FORMAT));
     }
 
-    /// After a clear, the journal holds exactly the events an
+    /// After a flush, the journal holds exactly the events an
     /// uncleared twin journals in the later epochs, in the same merged
     /// order, at one shard and at several.
     #[test]
@@ -1416,7 +1409,7 @@ mod tests {
             let mut twin = FleetSim::new_sharded(config.clone(), shards).expect("valid config");
             sim.run(4).expect("simulates");
             twin.run(4).expect("simulates");
-            sim.clear_journal();
+            sim.flush_journal(None).expect("clears");
             assert!(sim.journal().is_empty());
             sim.run(6).expect("simulates");
             twin.run(6).expect("simulates");

@@ -302,14 +302,6 @@ impl Response {
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(self.body.as_bytes());
     }
-
-    /// The full wire form as a fresh byte vector.
-    #[must_use]
-    pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        self.render_to(&mut out, keep_alive);
-        out
-    }
 }
 
 /// The reason phrase of a status code this server emits.
@@ -450,12 +442,14 @@ mod tests {
     fn rendered_bytes_pin_the_wire_format() {
         let response =
             Response::json(200, "{\"ok\":true}".to_string()).with_header("retry-after", "1".into());
-        let bytes = response.to_bytes(true);
+        let mut bytes = Vec::new();
+        response.render_to(&mut bytes, true);
         assert_eq!(
             String::from_utf8(bytes).expect("utf-8"),
             "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\nconnection: keep-alive\r\nretry-after: 1\r\n\r\n{\"ok\":true}"
         );
-        let close = Response::text(404, "gone".to_string()).to_bytes(false);
+        let mut close = Vec::new();
+        Response::text(404, "gone".to_string()).render_to(&mut close, false);
         assert_eq!(
             String::from_utf8(close).expect("utf-8"),
             "HTTP/1.1 404 Not Found\r\ncontent-type: text/plain; charset=utf-8\r\ncontent-length: 4\r\nconnection: close\r\n\r\ngone"
