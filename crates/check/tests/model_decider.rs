@@ -11,14 +11,16 @@
 //!   decider-side log must stay consistent with that;
 //! * racing workers agree on the decision for a bucket;
 //! * [`Decider::buckets_planned`] stays a duplicate-free
-//!   first-encounter log.
+//!   first-encounter log;
+//! * a bucket proven infeasible under the race is a `Degrade` for
+//!   every worker and the decider's learned degrade threshold.
 
 #![cfg(feature = "model")]
 
 use agequant_check::sync::Arc;
 use agequant_check::{explore, thread, Config};
 use agequant_core::EvalEngine;
-use agequant_fleet::{Decider, FleetConfig};
+use agequant_fleet::{Decider, Decision, FleetConfig};
 
 fn cfg() -> Config {
     Config {
@@ -83,6 +85,41 @@ fn racing_workers_characterize_each_bucket_exactly_once() {
             vec![1, 2],
             "characterization log gained or lost entries under the race"
         );
+    });
+    assert!(
+        report.schedules >= 1_000,
+        "expected a substantive interleaving space, got {} schedules",
+        report.schedules
+    );
+}
+
+/// Four workers race a bucket no compression closes timing in: every
+/// one degrades, the log gets one entry, and the memo names the bucket
+/// as the degrade threshold.
+#[test]
+fn racing_workers_agree_a_bucket_is_infeasible() {
+    let mut config = FleetConfig::new(2, 2021);
+    config.constraint_factor = 0.3;
+    let engine = warm_engine(&config);
+    let report = explore(cfg(), move || {
+        let decider =
+            Arc::new(Decider::with_engine(&config, Arc::clone(&engine)).expect("valid config"));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let decider = Arc::clone(&decider);
+                thread::spawn(move || decider.decide_bucket(1).expect("decides"))
+            })
+            .collect();
+        for handle in handles {
+            let decision = handle.join().expect("worker panicked");
+            assert_eq!(
+                decision,
+                Decision::Degrade { bucket: 1 },
+                "a racing worker saw a plan"
+            );
+        }
+        assert_eq!(decider.buckets_planned(), vec![1]);
+        assert_eq!(decider.min_infeasible_bucket(), Some(1));
     });
     assert!(
         report.schedules >= 1_000,

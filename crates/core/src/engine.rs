@@ -380,6 +380,19 @@ impl EvalEngine {
         found
     }
 
+    /// Counts one plan hit for `model_key`: for a caller that answers a
+    /// repeat from a plan this engine served it, as if the repeat had
+    /// asked [`cached_plan`](Self::cached_plan).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counter map was poisoned by a panicking caller.
+    pub fn count_plan_hit(&self, model_key: &str) {
+        self.counters(model_key)
+            .plan_hits
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records a freshly computed plan for `(model_key, shift,
     /// constraint_ps)`.
     ///

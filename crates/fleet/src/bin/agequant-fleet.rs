@@ -24,11 +24,12 @@
 //!
 //! `run`, `resume` and `autopilot` share one run path. It appends each
 //! epoch's events to the journal and clears them, so memory grows with
-//! one epoch of events. Writing `state.bin` commits the run: a new
-//! fleet's `journal.jsonl.tmp` is renamed over `journal.jsonl` just
-//! after it, a failure before it leaves the old pair as it was, and a
-//! resume first cuts `journal.jsonl` back to the checkpoint's epoch,
-//! dropping what a killed command left past it.
+//! one epoch of events. Writing `state.bin` commits the run, after one
+//! sync of the journal so the commit never reaches the disk ahead of
+//! the events it covers: a new fleet's `journal.jsonl.tmp` is renamed
+//! over `journal.jsonl` just after it, a failure before it leaves the
+//! old pair as it was, and a resume first cuts `journal.jsonl` back to
+//! the checkpoint's epoch, dropping what a killed command left past it.
 
 use std::error::Error;
 use std::fs;
@@ -338,14 +339,19 @@ fn drive(opts: Opts, armed: bool) -> Result<(), Failure> {
 }
 
 /// Steps `epochs` epochs, appending the journal to `journal` and
-/// clearing it before the first and after each one, then writes
-/// `DIR/state.bin`: the run's commit point.
+/// clearing it before the first and after each one, syncs the journal
+/// once, then writes `DIR/state.bin`: the run's commit point.
 fn advance(sim: &mut FleetSim, epochs: u64, journal: &Path, dir: &Path) -> Result<(), FleetError> {
     sim.flush_journal(Some(journal))?;
     for _ in 0..epochs {
         sim.step()?;
         sim.flush_journal(Some(journal))?;
     }
+    fs::OpenOptions::new()
+        .append(true)
+        .open(journal)
+        .and_then(|file| file.sync_all())
+        .map_err(|e| FleetError::Io(format!("{}: {e}", journal.display())))?;
     // Shard-direct encode: no intermediate Vec<Chip> of the fleet.
     persist::atomic_write(&dir.join("state.bin"), &sim.checkpoint_binary()?)
 }

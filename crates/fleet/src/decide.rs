@@ -7,23 +7,21 @@
 //! of [`FleetSim`] so the simulator and the `agequant-serve` network
 //! server answer from literally the same code and cannot drift.
 //!
-//! The decider is `Send + Sync`: the underlying
-//! [`EvalEngine`] caches are concurrent,
-//! and the decider-side memos (method selection per bit-width pair,
-//! proven infeasibility, first-encounter characterization order) sit
-//! behind one mutex so racing server workers agree on every outcome.
-//!
-//! Each memo is keyed on what its computation reads. Method selection
-//! reads only the bit widths a plan induces, so every `(bucket,
-//! constraint)` whose plan lands on an already-evaluated `(α, β)`
-//! reuses that selection; the engine likewise shares one grid scan
-//! across every constraint at a ΔVth. A new constraint on a known
+//! The decider is `Send + Sync`: the underlying [`EvalEngine`] caches
+//! are concurrent, and the decider's memos sit behind one mutex so
+//! racing server workers agree on every outcome. One memo maps
+//! `(bucket, constraint bits)` to the whole [`Decision`], so a repeated
+//! key costs one memo lock and one lookup; a feasible repeat counts the
+//! plan hit its skipped engine round trip would have counted
+//! ([`EvalEngine::count_plan_hit`]). A new key asks the engine, which
+//! shares one grid scan across every constraint at a ΔVth, then method
+//! selection, memoized per [`BitWidths`]: a new constraint on a known
 //! level and bit-width pair is decided without running STA or
 //! evaluating a network.
 //!
 //! [`FleetSim`]: crate::FleetSim
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use agequant_check::sync::{Arc, Mutex};
 
@@ -33,9 +31,7 @@ use agequant_nn::Model;
 use agequant_quant::{BitWidths, QuantMethod};
 use agequant_sta::GuardbandModel;
 
-use agequant_mem::MemoryConfig;
-
-use crate::chip::{Chip, ChipMemState, ChipPlan};
+use crate::chip::{Chip, ChipPlan};
 use crate::sim::FleetConfig;
 use crate::FleetError;
 
@@ -52,22 +48,6 @@ pub enum Decision {
         /// The bucket proven infeasible.
         bucket: u64,
     },
-}
-
-/// What the decision core concluded about one chip's weight-memory
-/// health — the second decision axis, orthogonal to the MAC timing
-/// [`Decision`]. A chip can pass timing with a comfortable compression
-/// plan and still need its weight memory re-encoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoryAction {
-    /// Re-encode the chip's weight memory: toggle the stored polarity
-    /// so NBTI stress moves to the complementary cell side.
-    Reencode,
-    /// The worst-bit failure probability crossed the degrade threshold
-    /// and no re-encode can help (budget exhausted, or the complement
-    /// side is already the worse one): declare the memory axis
-    /// degraded.
-    Degrade,
 }
 
 impl Decision {
@@ -91,22 +71,19 @@ impl Decision {
 }
 
 /// Decider-side memoization: everything the decision rule remembers
-/// beyond the engine's own caches. One mutex, because every field is
-/// consulted or updated on the same (cold) characterization path.
+/// beyond the engine's own caches, behind one mutex.
 #[derive(Debug, Default)]
 struct Memos {
+    /// Every decision made, per `(bucket, constraint bits)`. The first
+    /// one stored for a key is the one every later call returns.
+    decisions: HashMap<(u64, u64), Decision>,
     /// Method selection per bit-width pair — model evaluation has no
     /// engine-side cache, and it reads nothing of a plan but its
     /// [`BitWidths`], so the memo is bounded by the grid's `(α, β)`
     /// pairs, not by the number of constraints asked.
     methods: HashMap<BitWidths, Option<(QuantMethod, f64)>>,
-    /// `(bucket, constraint bits)` pairs proven infeasible, so a
-    /// degraded bucket is never rescanned per chip.
-    infeasible: BTreeSet<(u64, u64)>,
-    /// `(bucket, constraint bits)` pairs already characterized.
-    planned_seen: BTreeSet<(u64, u64)>,
-    /// Distinct buckets in first-encounter order (the observable
-    /// [`Decider::buckets_planned`] view).
+    /// The bucket of each new key of `decisions`, in the order they
+    /// were stored (the observable [`Decider::buckets_planned`] view).
     planned_order: Vec<u64>,
     /// Lazily built evaluation network for method selection.
     model: Option<Model>,
@@ -238,10 +215,12 @@ impl Decider {
 
     /// The decision for an aging bucket under an explicit timing
     /// constraint (the server's per-request `constraint_factor`).
-    /// Infeasibility and the characterization record are keyed on
+    /// Decisions and the characterization record are keyed on
     /// `(bucket, constraint bits)`, so non-default constraints never
     /// contaminate the fleet's record; method selection is shared by
-    /// every key whose plan has the same bit widths.
+    /// every key whose plan has the same bit widths. When workers race
+    /// a new key, the first decision stored wins; a call that fails
+    /// stores and records nothing.
     ///
     /// # Errors
     ///
@@ -257,47 +236,46 @@ impl Decider {
         constraint_ps: f64,
     ) -> Result<Decision, FleetError> {
         let key = (bucket, constraint_ps.to_bits());
-        if self
+        let memo = self
             .memos
             .lock()
             .expect("unpoisoned memos")
-            .infeasible
-            .contains(&key)
-        {
-            return Ok(Decision::Degrade { bucket });
-        }
-        let shift = self.bucket_shift(bucket);
-        let plan = match self.flow.compression_for_constraint(shift, constraint_ps) {
-            Ok(plan) => plan,
-            Err(FlowError::NoFeasibleCompression { .. }) => {
-                let mut memos = self.memos.lock().expect("unpoisoned memos");
-                memos.infeasible.insert(key);
-                Self::record_planned(&mut memos, key);
-                return Ok(Decision::Degrade { bucket });
+            .decisions
+            .get(&key)
+            .copied();
+        if let Some(decision) = memo {
+            if decision.plan().is_some() {
+                self.flow.engine().count_plan_hit(self.flow.model_key());
             }
+            return Ok(decision);
+        }
+        let plan = match self
+            .flow
+            .compression_for_constraint(self.bucket_shift(bucket), constraint_ps)
+        {
+            Ok(plan) => Some(plan),
+            Err(FlowError::NoFeasibleCompression { .. }) => None,
             Err(other) => return Err(FleetError::Flow(other)),
         };
-        let method = {
-            let mut memos = self.memos.lock().expect("unpoisoned memos");
-            Self::record_planned(&mut memos, key);
-            self.select_method_for(&mut memos, plan)?
-        };
-        Ok(Decision::Plan(ChipPlan {
-            bucket,
-            plan,
-            method: method.map(|(m, _)| m),
-            accuracy_loss_pct: method.map(|(_, loss)| loss),
-        }))
-    }
-
-    /// Records the first characterization of a `(bucket, constraint)`
-    /// pair. First-encounter order is the fleet's observable
-    /// "characterization log", mirrored from the engine's plan-miss
-    /// accounting but race-free under concurrent workers.
-    fn record_planned(memos: &mut Memos, key: (u64, u64)) {
-        if memos.planned_seen.insert(key) {
-            memos.planned_order.push(key.0);
+        let mut memos = self.memos.lock().expect("unpoisoned memos");
+        if let Some(decision) = memos.decisions.get(&key) {
+            return Ok(*decision);
         }
+        let decision = match plan {
+            Some(plan) => {
+                let method = self.select_method_for(&mut memos, plan)?;
+                Decision::Plan(ChipPlan {
+                    bucket,
+                    plan,
+                    method: method.map(|(m, _)| m),
+                    accuracy_loss_pct: method.map(|(_, loss)| loss),
+                })
+            }
+            None => Decision::Degrade { bucket },
+        };
+        memos.decisions.insert(key, decision);
+        memos.planned_order.push(bucket);
+        Ok(decision)
     }
 
     /// Method selection for `plan`'s bit widths, memoized decider-side
@@ -330,41 +308,6 @@ impl Decider {
         Ok(method)
     }
 
-    /// The memory-aging configuration, when the fleet tracks the
-    /// weight-memory axis.
-    #[must_use]
-    pub fn memory(&self) -> Option<&MemoryConfig> {
-        self.config.memory.as_ref()
-    }
-
-    /// The memory-axis decision for a chip's current memory state:
-    /// `Degrade` when the worst-bit failure probability crossed the
-    /// degrade threshold (the probability is monotone in worn-in
-    /// exposure, so no amount of re-encoding can take it back under),
-    /// `Reencode` when it crossed the re-encode threshold and toggling
-    /// the polarity would move at least [`MemoryConfig`]'s
-    /// `reencode_gap_years` of stress imbalance onto the less-worn
-    /// side, `None` otherwise (including when the memory axis is
-    /// disabled or the chip is already memory-degraded).
-    ///
-    /// This is where MAC compression and memory wear meet: the failure
-    /// probability the thresholds are tested against grew out of the
-    /// stress asymmetry selected by the chip's planned weight
-    /// truncation β ([`MemoryConfig::asymmetry_for_beta`]), so the
-    /// timing-side plan directly shapes when the memory side orders a
-    /// re-encode.
-    #[must_use]
-    pub fn memory_action(&self, state: &ChipMemState) -> Option<MemoryAction> {
-        let config = self.config.memory.as_ref()?;
-        if state.degraded {
-            return None;
-        }
-        let prob = config
-            .cell
-            .failure_prob_at_exposure(state.worst_stress_years());
-        memory_action_at(config, state, prob)
-    }
-
     /// The smallest bucket proven infeasible under the default
     /// constraint, if any — the degrade threshold as this decider has
     /// learned it. A pure memo read: consulting it never characterizes
@@ -381,10 +324,12 @@ impl Decider {
         self.memos
             .lock()
             .expect("unpoisoned memos")
-            .infeasible
+            .decisions
             .iter()
-            .filter(|(_, constraint)| *constraint == bits)
-            .map(|(bucket, _)| *bucket)
+            .filter(|(&(_, constraint), decision)| {
+                constraint == bits && matches!(decision, Decision::Degrade { .. })
+            })
+            .map(|(&(bucket, _), _)| bucket)
             .min()
     }
 
@@ -407,33 +352,11 @@ impl Decider {
     }
 }
 
-/// The memory-axis rule of [`Decider::memory_action`] for a chip that
-/// is not memory-degraded, at its already evaluated worst-bit failure
-/// probability `prob`.
-pub(crate) fn memory_action_at(
-    config: &MemoryConfig,
-    state: &ChipMemState,
-    prob: f64,
-) -> Option<MemoryAction> {
-    if prob >= config.degrade_threshold {
-        return Some(MemoryAction::Degrade);
-    }
-    // A re-encode only helps while the accruing side leads the spare
-    // side by a material margin — right after a toggle the spare side
-    // holds the maximum, and flipping again before the gap re-opens
-    // would churn the budget for no levelling gain. The gap is what
-    // spaces flips into a periodic schedule.
-    let useful_reencode = state.reencodes < config.max_reencodes
-        && state.stress_active_years - state.stress_spare_years >= config.reencode_gap_years;
-    if prob >= config.reencode_threshold && useful_reencode {
-        return Some(MemoryAction::Reencode);
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use agequant_check::sync::Arc;
+
+    use agequant_core::CacheStats;
 
     use super::*;
     use crate::{ChipMode, FleetSim};
@@ -550,6 +473,44 @@ mod tests {
             }
         }
         assert!(shared_pairs > 0, "no two keys share an (α, β)");
+    }
+
+    /// A repeated key is answered from the decision memo yet counts
+    /// what the engine round trip it skips counted: a feasible repeat
+    /// adds exactly one plan hit, for the decider's model, and a key
+    /// proven infeasible (never cached by the engine, so never asked
+    /// again) touches no counter. Neither extends the record.
+    #[test]
+    fn repeats_count_what_the_skipped_engine_round_trip_counted() {
+        let decider = Decider::from_config(&FleetConfig::new(2, 7)).expect("valid config");
+        let (flow, engine) = (decider.flow(), decider.flow().engine());
+        let (default, tight) = (decider.constraint_ps(), decider.constraint_ps() * 0.3);
+        let decide = |constraint| decider.decide_bucket_at(2, constraint).expect("decides");
+        let one_more_hit = |stats: CacheStats| CacheStats {
+            plan_hits: stats.plan_hits + 1,
+            ..stats
+        };
+        let feasible = decide(default);
+        assert_eq!(decide(tight), Decision::Degrade { bucket: 2 });
+        assert_eq!(decider.buckets_planned(), vec![2, 2]);
+
+        let before = engine.stats();
+        let plan = flow.compression_for_constraint(decider.bucket_shift(2), default);
+        assert_eq!(plan.ok().as_ref(), feasible.plan().map(|p| &p.plan));
+        assert_eq!(engine.stats(), one_more_hit(before), "the round trip");
+
+        let (before, model) = (engine.stats(), engine.stats_by_model()[flow.model_key()]);
+        assert_eq!(decide(default), feasible);
+        assert_eq!(engine.stats(), one_more_hit(before));
+        assert_eq!(
+            engine.stats_by_model()[flow.model_key()],
+            one_more_hit(model)
+        );
+        let before = engine.stats();
+        assert_eq!(decide(tight), Decision::Degrade { bucket: 2 });
+        assert_eq!(engine.stats(), before);
+        assert_eq!(decider.buckets_planned(), vec![2, 2]);
+        assert_eq!(decider.min_infeasible_bucket(), None, "not the default key");
     }
 
     #[test]

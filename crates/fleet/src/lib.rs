@@ -77,7 +77,7 @@ mod table;
 
 pub use checkpoint::{crc32, Crc32, MAGIC};
 pub use chip::{Chip, ChipMemState, ChipMode, ChipPlan, MissionKind};
-pub use decide::{Decider, Decision, MemoryAction};
+pub use decide::{Decider, Decision};
 pub use error::{CorruptKind, FleetError};
 pub use journal::{EventKind, JournalEvent};
 pub use report::{
@@ -85,6 +85,7 @@ pub use report::{
     ModelCacheSummary, PlanBin,
 };
 pub use rng::FleetRng;
+pub use shard::MemoryAction;
 pub use sim::{
     FleetConfig, FleetSim, FleetState, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_AUTOPILOT,
     CHECKPOINT_FORMAT_MEM,

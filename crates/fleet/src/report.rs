@@ -226,7 +226,8 @@ impl FleetSummary {
     /// [`FleetSummary::from_state`] and a live
     /// [`FleetSim::summary`](crate::FleetSim::summary) both run, the
     /// latter straight from the shard columns without cloning a chip.
-    /// Plan labels are formatted once per distinct plan, not per chip.
+    /// Plan labels are formatted once per distinct plan, not per chip,
+    /// and the memory cell is calibrated once per summary.
     pub(crate) fn from_views<'a>(
         config: &FleetConfig,
         epoch: u64,
@@ -241,6 +242,10 @@ impl FleetSummary {
         let mut compressed = 0usize;
         let mut degraded = 0usize;
         let mut failure_prob_total = 0.0f64;
+        let cell = config
+            .memory
+            .as_ref()
+            .map(|memory| memory.cell.calibrated());
         let mut memory = config.memory.as_ref().map(|_| MemorySummary {
             tracked: 0,
             reencodes: 0,
@@ -273,9 +278,7 @@ impl FleetSummary {
             if let Some(loss) = chip.plan.and_then(|p| p.accuracy_loss_pct) {
                 losses.push(loss);
             }
-            if let (Some(summary), Some(mem_config), Some(mem)) =
-                (&mut memory, &config.memory, &chip.mem)
-            {
+            if let (Some(summary), Some(cell), Some(mem)) = (&mut memory, &cell, &chip.mem) {
                 summary.tracked += 1;
                 summary.reencodes += u64::from(mem.reencodes);
                 if mem.degraded {
@@ -284,9 +287,7 @@ impl FleetSummary {
                         summary.timing_healthy_memory_degraded += 1;
                     }
                 }
-                let prob = mem_config
-                    .cell
-                    .failure_prob_at_exposure(mem.worst_stress_years());
+                let prob = cell.failure_prob_at_exposure(mem.worst_stress_years());
                 summary.worst_failure_prob = summary.worst_failure_prob.max(prob);
                 failure_prob_total += prob;
             }

@@ -10,14 +10,20 @@
 //! profile, plan) in side tables touched only when a chip is
 //! materialized or replanned.
 //!
-//! Each shard owns a contiguous id range, its own [`FleetRng`]
-//! substream (positioned by replaying the sampling draw counts of the
-//! chips before it, so the sampled fleet is bit-identical to the
-//! single-stream construction), and its own journal segment. Shards
-//! age independently — the physics pass is pure per chip — while
-//! decisions stay strictly serialized in shard order by the
-//! simulator, which keeps the engine's cache counters and the
+//! Each shard owns a contiguous id range and its own journal segment.
+//! A fresh shard samples its chips from its own [`FleetRng`] substream
+//! (positioned by replaying the sampling draw counts of the chips
+//! before it, so the sampled fleet is bit-identical to the
+//! single-stream construction); the substream lives only while
+//! sampling. Shards age independently — the physics pass is pure per
+//! chip — while decisions stay strictly serialized in shard order by
+//! the simulator, which keeps the engine's cache counters and the
 //! decider's memo order identical to an unsharded run.
+//!
+//! Every per-chip rule has one home here: a bucket crossing
+//! ([`FleetShard::cross`]), a replan ([`FleetShard::replan`]), the
+//! memory verdict, and a granted telemetry sample
+//! ([`FleetShard::apply_grant`]).
 //!
 //! `kinetics` additionally pre-resolves each chip's [`ModelSpec`] into
 //! a [`HotKinetics`] value: the NBTI power-law calibration and the HCI
@@ -26,13 +32,30 @@
 //! surrogate table keeps delegating to the spec).
 
 use agequant_aging::{MissionProfile, ModelSpec, NbtiModel, VthShift};
-use agequant_autopilot::{PilotState, Regime};
-use agequant_mem::MemoryConfig;
+use agequant_autopilot::{AutopilotConfig, Observation, PilotState, Regime};
+use agequant_mem::{CalibratedCell, MemoryConfig};
 
 use crate::chip::{Chip, ChipMemState, ChipMode, ChipPlan, MissionKind};
-use crate::decide::{memory_action_at, Decider, Decision, MemoryAction};
+use crate::decide::{Decider, Decision};
 use crate::journal::{EventKind, JournalEvent};
 use crate::rng::FleetRng;
+use crate::FleetError;
+
+/// What the memory verdict concluded about one chip's weight-memory
+/// health — the second decision axis, orthogonal to the MAC timing
+/// [`Decision`]. A chip can pass timing with a comfortable compression
+/// plan and still need its weight memory re-encoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoryAction {
+    /// Re-encode the chip's weight memory: toggle the stored polarity
+    /// so NBTI stress moves to the complementary cell side.
+    Reencode,
+    /// The worst-bit failure probability crossed the degrade threshold
+    /// and no re-encode can help (budget exhausted, or the complement
+    /// side is already the worse one): declare the memory axis
+    /// degraded.
+    Degrade,
+}
 
 /// A chip's degradation kinetics, pre-resolved for the hot physics
 /// loop. Every variant reproduces `ModelSpec::shift_at` bit for bit.
@@ -89,31 +112,27 @@ impl HotKinetics {
 /// its last sample, and its index in the shard.
 pub(crate) type DueChip = (Regime, u64, usize);
 
-/// What a granted telemetry sample reads from the chip's own columns:
-/// the ground-truth ΔVth and its bucket, and the memory axis's action
-/// with the memory pressure left after it. Probes are pure, so the
-/// simulator computes them per shard in parallel and applies them
-/// serially.
+/// What a granted telemetry sample reads from the chip's own columns.
+/// Probes are pure, so the simulator computes them per shard in
+/// parallel and applies them serially.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Probe {
     /// The chip's index in its shard.
-    pub(crate) index: usize,
+    index: usize,
     /// Ground-truth ΔVth, mV.
-    pub(crate) mv: f64,
+    mv: f64,
     /// The bucket `mv` truly sits in.
-    pub(crate) true_bucket: u64,
-    /// The memory action the sample orders, if any.
-    pub(crate) memory: Option<MemoryAction>,
-    /// Memory pressure after that action, in `[0, 1]`.
-    pub(crate) mem_pressure: f64,
+    true_bucket: u64,
+    /// The chip's memory verdict: the action the sample orders, if
+    /// any, and the memory pressure in `[0, 1]` left after it.
+    memory: (Option<MemoryAction>, f64),
 }
 
 /// A contiguous id range of the fleet in struct-of-arrays layout:
 /// hot physics fields in their own arrays, cold identity fields in
-/// side tables, plus the shard's RNG substream and journal segment.
+/// side tables, plus the shard's journal segment.
 #[derive(Debug)]
 pub(crate) struct FleetShard {
-    rng: FleetRng,
     // Hot: scanned every epoch by the physics pass.
     accel: Vec<f64>,
     kinetics: Vec<HotKinetics>,
@@ -131,73 +150,56 @@ pub(crate) struct FleetShard {
 }
 
 impl FleetShard {
-    fn with_capacity(capacity: usize, rng: FleetRng) -> Self {
-        FleetShard {
-            rng,
-            accel: Vec::with_capacity(capacity),
-            kinetics: Vec::with_capacity(capacity),
-            bucket: Vec::with_capacity(capacity),
-            mode: Vec::with_capacity(capacity),
-            id: Vec::with_capacity(capacity),
-            kind: Vec::with_capacity(capacity),
-            model: Vec::with_capacity(capacity),
-            profile: Vec::with_capacity(capacity),
-            plan: Vec::with_capacity(capacity),
-            mem: Vec::with_capacity(capacity),
-            pilot: Vec::with_capacity(capacity),
+    /// Builds a shard from its chips in id order (checkpointed chips
+    /// are preserved verbatim, ids included).
+    pub(crate) fn from_chips(chips: impl ExactSizeIterator<Item = Chip>) -> Self {
+        let n = chips.len();
+        let mut shard = FleetShard {
+            accel: Vec::with_capacity(n),
+            kinetics: Vec::with_capacity(n),
+            bucket: Vec::with_capacity(n),
+            mode: Vec::with_capacity(n),
+            id: Vec::with_capacity(n),
+            kind: Vec::with_capacity(n),
+            model: Vec::with_capacity(n),
+            profile: Vec::with_capacity(n),
+            plan: Vec::with_capacity(n),
+            mem: Vec::with_capacity(n),
+            pilot: Vec::with_capacity(n),
             journal: Vec::new(),
+        };
+        for chip in chips {
+            shard.accel.push(chip.profile.acceleration());
+            shard.kinetics.push(HotKinetics::of(&chip.model));
+            shard.bucket.push(chip.bucket);
+            shard.mode.push(chip.mode);
+            shard.id.push(chip.id);
+            shard.kind.push(chip.kind);
+            shard.model.push(chip.model);
+            shard.profile.push(chip.profile);
+            shard.plan.push(chip.plan);
+            shard.mem.push(chip.mem);
+            shard.pilot.push(chip.pilot);
         }
-    }
-
-    fn push(&mut self, chip: Chip) {
-        self.accel.push(chip.profile.acceleration());
-        self.kinetics.push(HotKinetics::of(&chip.model));
-        self.bucket.push(chip.bucket);
-        self.mode.push(chip.mode);
-        self.id.push(chip.id);
-        self.kind.push(chip.kind);
-        self.model.push(chip.model);
-        self.profile.push(chip.profile);
-        self.plan.push(chip.plan);
-        self.mem.push(chip.mem);
-        self.pilot.push(chip.pilot);
+        shard
     }
 
     /// Samples `count` fresh chips with ids `base..base + count` from
-    /// `rng` (the shard's substream, pre-positioned by the caller).
+    /// `rng` (the shard's substream, pre-positioned by the caller), and
+    /// returns the substream positioned after their draws.
     pub(crate) fn sample(
         base: u32,
         count: u32,
         config_model: &ModelSpec,
         mut rng: FleetRng,
-    ) -> Self {
-        let mut shard = FleetShard::with_capacity(count as usize, rng.clone());
-        for offset in 0..count {
-            let chip = Chip::sample(base + offset, config_model, &mut rng);
-            shard.push(chip);
-        }
-        shard.rng = rng;
-        shard
-    }
-
-    /// Rebuilds a shard from checkpointed chips (preserved verbatim,
-    /// ids included) and its recomputed RNG substream.
-    pub(crate) fn from_chips(chips: Vec<Chip>, rng: FleetRng) -> Self {
-        let mut shard = FleetShard::with_capacity(chips.len(), rng);
-        for chip in chips {
-            shard.push(chip);
-        }
-        shard
+    ) -> (Self, FleetRng) {
+        let chips = (0..count).map(|offset| Chip::sample(base + offset, config_model, &mut rng));
+        (FleetShard::from_chips(chips), rng)
     }
 
     /// Number of chips in the shard.
     pub(crate) fn len(&self) -> usize {
         self.bucket.len()
-    }
-
-    /// The shard's RNG substream, positioned after its sampling draws.
-    pub(crate) fn substream(&self) -> &FleetRng {
-        &self.rng
     }
 
     /// The shard's journal segment: this shard's chips' events since
@@ -266,30 +268,15 @@ impl FleetShard {
     }
 
     /// Chip `i`'s pilot state, when the autopilot is armed.
-    pub(crate) fn pilot(&self, i: usize) -> Option<PilotState> {
-        self.pilot[i]
-    }
-
-    /// Stores chip `i`'s updated pilot state.
-    pub(crate) fn set_pilot(&mut self, i: usize, pilot: PilotState) {
-        self.pilot[i] = Some(pilot);
-    }
-
-    /// Chip `i`'s fleet-unique id.
-    pub(crate) fn chip_id(&self, i: usize) -> u32 {
-        self.id[i]
-    }
-
-    /// Chip `i`'s current (planned) aging bucket.
-    pub(crate) fn bucket(&self, i: usize) -> u64 {
-        self.bucket[i]
+    pub(crate) fn pilot_mut(&mut self, i: usize) -> Option<&mut PilotState> {
+        self.pilot[i].as_mut()
     }
 
     /// One ground-truth observation of chip `i` at `years` of
     /// deployment — what a telemetry sample of the chip would report:
     /// its ΔVth in mV and the aging bucket that shift truly sits in
-    /// (computed from the un-rounded shift, exactly as
-    /// [`FleetShard::crossings`] computes it).
+    /// (computed from the un-rounded shift; [`FleetShard::crossings`]
+    /// reads the same).
     pub(crate) fn observe(&self, i: usize, years: f64, bucket_mv: f64) -> (f64, u64) {
         let t = self.accel[i] * years;
         let shift = self.kinetics[i].shift_at(&self.model[i], t);
@@ -297,28 +284,64 @@ impl FleetShard {
     }
 
     /// Appends one event to the shard's journal segment.
-    pub(crate) fn push_event(&mut self, event: JournalEvent) {
+    fn push_event(&mut self, event: JournalEvent) {
         self.journal.push(event);
     }
 
     /// One epoch of weight-memory aging for every chip: accrues SRAM
     /// stress exposure on the currently stressed polarity (shaped by
     /// the active plan's weight truncation β and the chip's mission
-    /// acceleration), then applies the decider's memory action —
-    /// journaling re-encodes and memory degradations.
+    /// acceleration), then applies each chip's memory verdict under
+    /// `cell`, `config.cell` calibrated once for the pass.
     pub(crate) fn step_memory(
         &mut self,
-        decider: &Decider,
         config: &MemoryConfig,
+        cell: &CalibratedCell,
         epoch: u64,
         epoch_years: f64,
     ) {
         self.accrue_memory(config, epoch_years);
         for i in 0..self.len() {
-            if let Some(action) = self.mem[i].and_then(|state| decider.memory_action(&state)) {
+            if let (Some(action), _) = self.memory_verdict(i, config, cell) {
                 self.apply_memory_action(epoch, i, action);
             }
         }
+    }
+
+    /// The memory verdict on chip `i`: the action its worst-bit failure
+    /// probability orders, and the memory pressure in `[0, 1]` left
+    /// after it. `Degrade` past the degrade threshold (the probability
+    /// is monotone in exposure, so no re-encode can take it back);
+    /// `Reencode` past the re-encode threshold when a toggle would move
+    /// at least `reencode_gap_years` of stress onto the less-worn side.
+    /// A chip whose memory degrades now, already had, or is not tracked
+    /// reports zero pressure: a failed axis must not pin the chip in
+    /// Intervene forever.
+    fn memory_verdict(
+        &self,
+        i: usize,
+        config: &MemoryConfig,
+        cell: &CalibratedCell,
+    ) -> (Option<MemoryAction>, f64) {
+        let Some(state) = self.mem[i].filter(|state| !state.degraded) else {
+            return (None, 0.0);
+        };
+        let prob = cell.failure_prob_at_exposure(state.worst_stress_years());
+        if prob >= config.degrade_threshold {
+            return (Some(MemoryAction::Degrade), 0.0);
+        }
+        let pressure = (prob / config.degrade_threshold).clamp(0.0, 1.0);
+        // A re-encode only helps while the accruing side leads the spare
+        // side by a material margin — right after a toggle the spare side
+        // holds the maximum, and flipping again before the gap re-opens
+        // would churn the budget for no levelling gain. The gap is what
+        // spaces flips into a periodic schedule.
+        let useful_reencode = state.reencodes < config.max_reencodes
+            && state.stress_active_years - state.stress_spare_years >= config.reencode_gap_years;
+        if prob >= config.reencode_threshold && useful_reencode {
+            return (Some(MemoryAction::Reencode), pressure);
+        }
+        (None, pressure)
     }
 
     /// The pure physics half of the memory axis: accrues one epoch of
@@ -339,7 +362,7 @@ impl FleetShard {
 
     /// The decision half of the memory axis for one chip: applies
     /// `action`, journaling the re-encode or memory degradation.
-    pub(crate) fn apply_memory_action(&mut self, epoch: u64, i: usize, action: MemoryAction) {
+    fn apply_memory_action(&mut self, epoch: u64, i: usize, action: MemoryAction) {
         let Some(state) = self.mem[i].as_mut() else {
             return;
         };
@@ -401,40 +424,24 @@ impl FleetShard {
     }
 
     /// Reads what a granted sample of chip `i` at `years` reveals (see
-    /// [`Probe`]). The worst-bit failure probability is evaluated once
-    /// and serves both the memory action and the pressure; a chip whose
-    /// memory degrades on this sample, or already had, reports zero
-    /// pressure — a failed axis has nothing left to protect, so it must
-    /// not pin the chip in Intervene forever.
+    /// [`Probe`]): its ground truth and, when the fleet tracks memory,
+    /// its memory verdict under the config and its once-calibrated
+    /// cell.
     pub(crate) fn probe(
         &self,
         i: usize,
         years: f64,
         bucket_mv: f64,
-        memory: Option<&MemoryConfig>,
+        memory: Option<(&MemoryConfig, &CalibratedCell)>,
     ) -> Probe {
         let (mv, true_bucket) = self.observe(i, years, bucket_mv);
-        let (action, mem_pressure) = match (memory, &self.mem[i]) {
-            (Some(config), Some(state)) if !state.degraded => {
-                let prob = config
-                    .cell
-                    .failure_prob_at_exposure(state.worst_stress_years());
-                let action = memory_action_at(config, state, prob);
-                let pressure = if action == Some(MemoryAction::Degrade) {
-                    0.0
-                } else {
-                    (prob / config.degrade_threshold).clamp(0.0, 1.0)
-                };
-                (action, pressure)
-            }
-            _ => (None, 0.0),
-        };
         Probe {
             index: i,
             mv,
             true_bucket,
-            memory: action,
-            mem_pressure,
+            memory: memory.map_or((None, 0.0), |(config, cell)| {
+                self.memory_verdict(i, config, cell)
+            }),
         }
     }
 
@@ -442,9 +449,10 @@ impl FleetShard {
     /// the deferral, so starvation is auditable, never silent.
     pub(crate) fn defer_samples(&mut self, deferred: &[(usize, Regime)], epoch: u64) {
         for &(i, regime) in deferred {
-            let mut pilot = self.pilot[i].expect("due chip has a pilot");
-            pilot.next_epoch = epoch + 1;
-            self.pilot[i] = Some(pilot);
+            self.pilot[i]
+                .as_mut()
+                .expect("due chip has a pilot")
+                .next_epoch = epoch + 1;
             self.push_event(JournalEvent {
                 epoch,
                 chip: self.id[i],
@@ -457,28 +465,27 @@ impl FleetShard {
     /// into a higher bucket, as `(index, new_bucket)` in index order.
     /// Safe to run concurrently across shards.
     pub(crate) fn crossings(&self, years: f64, bucket_mv: f64) -> Vec<(usize, u64)> {
-        let mut out = Vec::new();
-        for i in 0..self.len() {
-            let t = self.accel[i] * years;
-            let shift = self.kinetics[i].shift_at(&self.model[i], t);
-            let new_bucket = Chip::bucket_of(shift, bucket_mv);
-            if new_bucket > self.bucket[i] {
-                out.push((i, new_bucket));
-            }
-        }
-        out
+        (0..self.len())
+            .map(|i| (i, self.observe(i, years, bucket_mv).1))
+            .filter(|&(i, bucket)| bucket > self.bucket[i])
+            .collect()
     }
 
     pub(crate) fn is_guardband(&self, i: usize) -> bool {
         self.mode[i] == ChipMode::Guardband
     }
 
-    pub(crate) fn set_bucket(&mut self, i: usize, bucket: u64) {
-        self.bucket[i] = bucket;
-    }
-
-    /// Journals chip `i` crossing from its current bucket to `to`.
-    pub(crate) fn record_crossing(&mut self, i: usize, to: u64, epoch: u64) {
+    /// Chip `i` crossed into bucket `to` at `epoch`: journals the
+    /// crossing, then replans the chip. A guardbanded chip only tracks
+    /// its bucket — infeasibility is monotone in ΔVth, so no later
+    /// bucket can rescue it.
+    pub(crate) fn cross(
+        &mut self,
+        decider: &Decider,
+        i: usize,
+        to: u64,
+        epoch: u64,
+    ) -> Result<(), FleetError> {
         self.push_event(JournalEvent {
             epoch,
             chip: self.id[i],
@@ -487,45 +494,166 @@ impl FleetShard {
                 to,
             },
         });
+        if self.is_guardband(i) {
+            self.bucket[i] = to;
+            return Ok(());
+        }
+        self.replan(decider, i, to, epoch)
     }
 
-    /// Applies a served decision to chip `i` at `bucket`, journaling
-    /// the outcome — the SoA equivalent of the fat-struct
-    /// `apply_decision`.
-    pub(crate) fn apply_decision(
+    /// Serves chip `i` the decision for `bucket` and applies it,
+    /// journaling the new plan or the degradation to the guardbanded
+    /// clock.
+    pub(crate) fn replan(
         &mut self,
+        decider: &Decider,
         i: usize,
         bucket: u64,
         epoch: u64,
-        decision: &Decision,
-    ) {
+    ) -> Result<(), FleetError> {
+        let decision = decider.decide_bucket(bucket)?;
         self.bucket[i] = bucket;
-        match decision {
+        let kind = match decision {
             Decision::Plan(plan) => {
-                self.push_event(JournalEvent {
-                    epoch,
-                    chip: self.id[i],
-                    kind: EventKind::Replanned {
-                        bucket,
-                        alpha: plan.plan.compression.alpha(),
-                        beta: plan.plan.compression.beta(),
-                        padding: plan.plan.padding,
-                        method: plan.method,
-                    },
-                });
                 self.mode[i] = ChipMode::Compressed;
-                self.plan[i] = Some(*plan);
+                self.plan[i] = Some(plan);
+                EventKind::Replanned {
+                    bucket,
+                    alpha: plan.plan.compression.alpha(),
+                    beta: plan.plan.compression.beta(),
+                    padding: plan.plan.padding,
+                    method: plan.method,
+                }
             }
             Decision::Degrade { .. } => {
-                self.push_event(JournalEvent {
-                    epoch,
-                    chip: self.id[i],
-                    kind: EventKind::Degraded { bucket },
-                });
                 self.mode[i] = ChipMode::Guardband;
                 self.plan[i] = None;
+                EventKind::Degraded { bucket }
             }
+        };
+        self.push_event(JournalEvent {
+            epoch,
+            chip: self.id[i],
+            kind,
+        });
+        Ok(())
+    }
+
+    /// Applies one granted telemetry sample: reacts to anything the
+    /// sample's [`Probe`] revealed (bucket crossing, memory action),
+    /// folds the observation into the pilot state, and takes the new
+    /// regime's proactive posture — Watch prefetches the next bucket's
+    /// plan into the engine cache, Intervene pushes the projected
+    /// bucket's plan *before* the boundary is reached.
+    pub(crate) fn apply_grant(
+        &mut self,
+        decider: &Decider,
+        autopilot: &AutopilotConfig,
+        probe: Probe,
+        epoch: u64,
+        tokens_left: u64,
+        class: Regime,
+    ) -> Result<(), FleetError> {
+        let Probe {
+            index: i,
+            mv,
+            true_bucket,
+            memory: (memory, mem_pressure),
+        } = probe;
+        let bucket_mv = decider.config().bucket_mv;
+        // A revealed crossing is handled exactly as the always-on
+        // path handles one.
+        if true_bucket > self.bucket[i] {
+            self.cross(decider, i, true_bucket, epoch)?;
         }
+        if let Some(action) = memory {
+            self.apply_memory_action(epoch, i, action);
+        }
+        // Headroom to the *planned* bucket's upper edge. A guardbanded
+        // chip has nothing left to protect on the timing axis, so its
+        // boundary is reported infinitely far; memory pressure alone
+        // can still escalate it.
+        #[allow(clippy::cast_precision_loss)]
+        let margin_mv = if self.is_guardband(i) {
+            f64::INFINITY
+        } else {
+            ((self.bucket[i].saturating_add(1)) as f64 * bucket_mv - mv).max(0.0)
+        };
+        let mut pilot = self.pilot[i].expect("sampled chip has a pilot");
+        let transition = autopilot.observe(
+            &mut pilot,
+            &Observation {
+                epoch,
+                mv,
+                margin_mv,
+                residual_mv: None,
+                mem_pressure,
+            },
+        );
+        self.pilot[i] = Some(pilot);
+        // The journaled regime is the priority class the grant was
+        // issued under — an overrun-escalated Calm chip's message
+        // rode the Intervene overdraft, and the ledger audit (AP002)
+        // holds token-funded grants, not overdraft grants, to the
+        // per-epoch budget.
+        let chip = self.id[i];
+        self.push_event(JournalEvent {
+            epoch,
+            chip,
+            kind: EventKind::CadenceGranted {
+                regime: class,
+                next_epoch: pilot.next_epoch,
+                tokens_left,
+            },
+        });
+        // The same effective rate `observe` stepped the machine on —
+        // journaled so AP002 can replay the pure transition.
+        let rate = autopilot.effective_rate(&pilot, mem_pressure);
+        if let Some((from, to)) = transition {
+            self.push_event(JournalEvent {
+                epoch,
+                chip,
+                kind: EventKind::RegimeChanged {
+                    from,
+                    to,
+                    rate_mv_per_epoch: rate,
+                    margin_mv,
+                },
+            });
+        }
+        match pilot.regime {
+            Regime::Watch if !self.is_guardband(i) => {
+                // Prefetch the next bucket's plan: the decision is
+                // discarded, but the characterization warms the engine
+                // cache so the eventual crossing is a cache hit.
+                decider.decide_bucket(self.bucket[i].saturating_add(1))?;
+            }
+            Regime::Intervene if !self.is_guardband(i) => {
+                // Proactive plan push: project ΔVth over the Intervene
+                // horizon (or to the next sample, whichever is
+                // farther); if the chip will have crossed by then,
+                // serve the projected bucket's plan *now* so the chip
+                // never runs on a stale plan across the boundary and
+                // needs no epoch-by-epoch escort through it. The push
+                // is capped one bucket ahead of the ground truth —
+                // pre-positioning the next plan, not extrapolating an
+                // EWMA arbitrarily far. An infeasible projection
+                // degrades the chip before the threshold, not after.
+                let lookahead = pilot
+                    .next_epoch
+                    .saturating_sub(epoch)
+                    .max(u64::from(autopilot.intervene_horizon_epochs));
+                #[allow(clippy::cast_precision_loss)]
+                let projected_mv = mv + rate * lookahead as f64;
+                let projected = Chip::bucket_of(VthShift::from_millivolts(projected_mv), bucket_mv)
+                    .min(true_bucket.saturating_add(1));
+                if projected > self.bucket[i] {
+                    self.replan(decider, i, projected, epoch)?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
     }
 }
 
@@ -570,7 +698,7 @@ mod tests {
         let chips: Vec<Chip> = (10..26)
             .map(|id| Chip::sample(id, &model, &mut rng))
             .collect();
-        let shard = FleetShard::from_chips(chips.clone(), rng);
+        let shard = FleetShard::from_chips(chips.clone().into_iter());
         assert_eq!(shard.len(), chips.len());
         for (i, chip) in chips.iter().enumerate() {
             assert_eq!(&shard.chip(i), chip);
@@ -584,7 +712,7 @@ mod tests {
         let chips: Vec<Chip> = (0..64)
             .map(|id| Chip::sample(id, &model, &mut rng))
             .collect();
-        let shard = FleetShard::from_chips(chips.clone(), rng);
+        let shard = FleetShard::from_chips(chips.clone().into_iter());
         let (years, bucket_mv) = (5.0, 10.0);
         let crossed = shard.crossings(years, bucket_mv);
         assert!(!crossed.is_empty(), "5 years ages someone past 10 mV");

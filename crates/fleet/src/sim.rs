@@ -46,8 +46,8 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::Path;
 
-use agequant_aging::{ModelSpec, NbtiPowerLaw, TechProfile, VthShift};
-use agequant_autopilot::{AutopilotConfig, BudgetState, Grant, Observation, Regime};
+use agequant_aging::{ModelSpec, NbtiPowerLaw, TechProfile};
+use agequant_autopilot::{AutopilotConfig, BudgetState, Grant, Regime};
 use agequant_core::{AgingAwareQuantizer, CacheStats, FlowConfig};
 use agequant_mem::MemoryConfig;
 use agequant_nn::NetArch;
@@ -55,10 +55,10 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::chip::Chip;
 use crate::decide::Decider;
-use crate::journal::{EventKind, JournalEvent};
+use crate::journal::JournalEvent;
 use crate::report::{FleetSummary, ModelCacheSummary};
 use crate::rng::FleetRng;
-use crate::shard::{DueChip, FleetShard, Probe};
+use crate::shard::{DueChip, FleetShard};
 use crate::FleetError;
 
 /// Configuration of a fleet run.
@@ -462,29 +462,26 @@ impl FleetSim {
         // vary per chip, so there is no fixed stride to jump by). The
         // replayed stream lands exactly where single-stream sampling
         // would, so checkpoints stay bit-identical.
-        let mut starts: Vec<(u32, u32, FleetRng)> = Vec::with_capacity(parts.len());
+        let mut starts = Vec::with_capacity(parts.len());
         let mut base = 0u32;
-        for (k, &count) in parts.iter().enumerate() {
+        for &count in &parts {
             let count = u32::try_from(count).expect("partition fits the chip count");
             starts.push((base, count, rng.clone()));
-            if k + 1 == parts.len() {
-                // The fleet stream resumes from the last shard's own
-                // substream below; no need to skip past it here.
-                break;
-            }
-            for _ in 0..count {
-                Chip::skip_sample_draws(&mut rng);
+            // The last shard's own substream ends where the fleet
+            // stream resumes, so nothing skips past it.
+            if starts.len() < parts.len() {
+                for _ in 0..count {
+                    Chip::skip_sample_draws(&mut rng);
+                }
             }
             base += count;
         }
-        let shards = par_map(&starts, |(base, count, start)| {
+        let (shards, mut ends): (Vec<_>, Vec<_>) = par_map(&starts, |(base, count, start)| {
             FleetShard::sample(*base, *count, &model, start.clone())
-        });
-        let rng = shards
-            .last()
-            .expect("a partition has a shard")
-            .substream()
-            .clone();
+        })
+        .into_iter()
+        .unzip();
+        let rng = ends.pop().expect("a partition has a shard");
         let mut sim = FleetSim {
             decider,
             config,
@@ -537,39 +534,18 @@ impl FleetSim {
                 state.config.chips
             )));
         }
-        let parts = partition(expected, shards);
-        let FleetState {
-            config,
-            epoch,
-            rng,
-            mut chips,
-            autopilot,
-            ..
-        } = state;
-        // Recompute each shard's substream position the same way fresh
-        // sampling does, so a resumed shard is indistinguishable from
-        // a never-checkpointed one.
-        let mut replay = FleetRng::seed_from_u64(config.seed);
-        let mut built: Vec<FleetShard> = Vec::with_capacity(parts.len());
-        let mut drained = chips.drain(..);
-        for &count in &parts {
-            let start = replay.clone();
-            for _ in 0..count {
-                Chip::skip_sample_draws(&mut replay);
-            }
-            let slice: Vec<Chip> = drained.by_ref().take(count).collect();
-            built.push(FleetShard::from_chips(slice, start));
-        }
-        drop(drained);
-        // A resumed closed-loop fleet continues its checkpointed ledger.
-        let budget = autopilot.filter(|_| config.autopilot.is_some());
+        let mut chips = state.chips.into_iter();
         let mut sim = FleetSim {
             decider,
-            config,
-            epoch,
-            rng,
-            shards: built,
-            budget,
+            shards: partition(expected, shards)
+                .into_iter()
+                .map(|count| FleetShard::from_chips(chips.by_ref().take(count)))
+                .collect(),
+            // A resumed closed-loop fleet continues its checkpointed ledger.
+            budget: state.autopilot.filter(|_| state.config.autopilot.is_some()),
+            config: state.config,
+            epoch: state.epoch,
+            rng: state.rng,
         };
         sim.enroll();
         Ok(sim)
@@ -592,8 +568,7 @@ impl FleetSim {
     fn plan_initial(&mut self) -> Result<(), FleetError> {
         for shard in &mut self.shards {
             for i in 0..shard.len() {
-                let decision = self.decider.decide_bucket(0)?;
-                shard.apply_decision(i, 0, 0, &decision);
+                shard.replan(&self.decider, i, 0, 0)?;
             }
         }
         Ok(())
@@ -625,16 +600,7 @@ impl FleetSim {
         let crossings = par_map(&self.shards, |shard| shard.crossings(years, bucket_mv));
         for (shard, crossed) in self.shards.iter_mut().zip(crossings) {
             for (i, new_bucket) in crossed {
-                shard.record_crossing(i, new_bucket, epoch);
-                if shard.is_guardband(i) {
-                    // Infeasibility is monotone in ΔVth: once
-                    // guardbanded, the chip only tracks its bucket,
-                    // never replans.
-                    shard.set_bucket(i, new_bucket);
-                    continue;
-                }
-                let decision = self.decider.decide_bucket(new_bucket)?;
-                shard.apply_decision(i, new_bucket, epoch, &decision);
+                shard.cross(&self.decider, i, new_bucket, epoch)?;
             }
         }
         if let Some(memory) = &self.config.memory {
@@ -643,9 +609,9 @@ impl FleetSim {
             // it actually executes. Pure threshold arithmetic — no
             // engine, no RNG — on each chip's own columns, journaled
             // into its own shard, so it runs per shard in parallel.
-            let (decider, epoch_years) = (&*self.decider, self.config.epoch_years);
+            let (cell, epoch_years) = (memory.cell.calibrated(), self.config.epoch_years);
             par_map_mut(&mut self.shards, |shard| {
-                shard.step_memory(decider, memory, epoch, epoch_years);
+                shard.step_memory(memory, &cell, epoch, epoch_years);
             });
         }
         self.epoch = epoch;
@@ -694,6 +660,7 @@ impl FleetSim {
     ) -> Result<(), FleetError> {
         let bucket_mv = self.config.bucket_mv;
         let memory = self.config.memory.as_ref();
+        let cell = memory.map(|memory| memory.cell.calibrated());
         let epoch_years = self.config.epoch_years;
         // Priority classes descend; within a class, the least-recently
         // sampled chip first, ties in id order.
@@ -753,7 +720,7 @@ impl FleetSim {
         let probes = par_map(&work, |(shard, chips)| {
             chips
                 .iter()
-                .map(|&i| shard.probe(i, years, bucket_mv, memory))
+                .map(|&i| shard.probe(i, years, bucket_mv, memory.zip(cell.as_ref())))
                 .collect::<Vec<_>>()
         });
 
@@ -761,11 +728,9 @@ impl FleetSim {
         let mut probes: Vec<_> = probes.into_iter().map(Vec::into_iter).collect();
         for (s, class, tokens_left) in grants {
             let probe = probes[s].next().expect("one probe per grant");
-            Self::sample_chip(
+            self.shards[s].apply_grant(
                 &self.decider,
-                &self.config,
                 autopilot,
-                &mut self.shards[s],
                 probe,
                 epoch,
                 tokens_left,
@@ -778,133 +743,6 @@ impl FleetSim {
         par_map_mut(&mut work, |(shard, chips)| {
             shard.defer_samples(chips, epoch)
         });
-        Ok(())
-    }
-
-    /// Applies one granted telemetry sample: reacts to anything the
-    /// sample's [`Probe`] revealed (bucket crossing, memory action),
-    /// folds the observation into the pilot state, and takes the new
-    /// regime's proactive posture — Watch prefetches the next bucket's
-    /// plan into the engine cache, Intervene pushes the projected
-    /// bucket's plan *before* the boundary is reached.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_chip(
-        decider: &Decider,
-        config: &FleetConfig,
-        autopilot: &AutopilotConfig,
-        shard: &mut FleetShard,
-        probe: Probe,
-        epoch: u64,
-        tokens_left: u64,
-        class: Regime,
-    ) -> Result<(), FleetError> {
-        let Probe {
-            index: i,
-            mv,
-            true_bucket,
-            memory,
-            mem_pressure,
-        } = probe;
-        let chip = shard.chip_id(i);
-        // A revealed crossing is handled exactly as the always-on
-        // path handles one.
-        if true_bucket > shard.bucket(i) {
-            shard.record_crossing(i, true_bucket, epoch);
-            if shard.is_guardband(i) {
-                shard.set_bucket(i, true_bucket);
-            } else {
-                let decision = decider.decide_bucket(true_bucket)?;
-                shard.apply_decision(i, true_bucket, epoch, &decision);
-            }
-        }
-        if let Some(action) = memory {
-            shard.apply_memory_action(epoch, i, action);
-        }
-        // Headroom to the *planned* bucket's upper edge. A guardbanded
-        // chip has nothing left to protect on the timing axis, so its
-        // boundary is reported infinitely far; memory pressure alone
-        // can still escalate it.
-        #[allow(clippy::cast_precision_loss)]
-        let margin_mv = if shard.is_guardband(i) {
-            f64::INFINITY
-        } else {
-            ((shard.bucket(i).saturating_add(1)) as f64 * config.bucket_mv - mv).max(0.0)
-        };
-        let mut pilot = shard.pilot(i).expect("sampled chip has a pilot");
-        let transition = autopilot.observe(
-            &mut pilot,
-            &Observation {
-                epoch,
-                mv,
-                margin_mv,
-                residual_mv: None,
-                mem_pressure,
-            },
-        );
-        shard.set_pilot(i, pilot);
-        // The journaled regime is the priority class the grant was
-        // issued under — an overrun-escalated Calm chip's message
-        // rode the Intervene overdraft, and the ledger audit (AP002)
-        // holds token-funded grants, not overdraft grants, to the
-        // per-epoch budget.
-        shard.push_event(JournalEvent {
-            epoch,
-            chip,
-            kind: EventKind::CadenceGranted {
-                regime: class,
-                next_epoch: pilot.next_epoch,
-                tokens_left,
-            },
-        });
-        // The same effective rate `observe` stepped the machine on —
-        // journaled so AP002 can replay the pure transition.
-        let rate = autopilot.effective_rate(&pilot, mem_pressure);
-        if let Some((from, to)) = transition {
-            shard.push_event(JournalEvent {
-                epoch,
-                chip,
-                kind: EventKind::RegimeChanged {
-                    from,
-                    to,
-                    rate_mv_per_epoch: rate,
-                    margin_mv,
-                },
-            });
-        }
-        match pilot.regime {
-            Regime::Watch if !shard.is_guardband(i) => {
-                // Prefetch the next bucket's plan: the decision is
-                // discarded, but the characterization warms the engine
-                // cache so the eventual crossing is a cache hit.
-                decider.decide_bucket(shard.bucket(i).saturating_add(1))?;
-            }
-            Regime::Intervene if !shard.is_guardband(i) => {
-                // Proactive plan push: project ΔVth over the Intervene
-                // horizon (or to the next sample, whichever is
-                // farther); if the chip will have crossed by then,
-                // serve the projected bucket's plan *now* so the chip
-                // never runs on a stale plan across the boundary and
-                // needs no epoch-by-epoch escort through it. The push
-                // is capped one bucket ahead of the ground truth —
-                // pre-positioning the next plan, not extrapolating an
-                // EWMA arbitrarily far. An infeasible projection
-                // degrades the chip before the threshold, not after.
-                let lookahead = pilot
-                    .next_epoch
-                    .saturating_sub(epoch)
-                    .max(u64::from(autopilot.intervene_horizon_epochs));
-                #[allow(clippy::cast_precision_loss)]
-                let projected_mv = mv + rate * lookahead as f64;
-                let projected =
-                    Chip::bucket_of(VthShift::from_millivolts(projected_mv), config.bucket_mv)
-                        .min(true_bucket.saturating_add(1));
-                if projected > shard.bucket(i) {
-                    let decision = decider.decide_bucket(projected)?;
-                    shard.apply_decision(i, projected, epoch, &decision);
-                }
-            }
-            _ => {}
-        }
         Ok(())
     }
 
@@ -998,18 +836,24 @@ impl FleetSim {
             return;
         }
         let alpha = autopilot.ewma_alpha;
-        let mut idx = idx;
-        for shard in &mut self.shards {
+        if let Some(pilot) = self
+            .locate(idx)
+            .and_then(|(s, i)| self.shards[s].pilot_mut(i))
+        {
+            pilot.residual_mv = alpha * residual_mv.abs() + (1.0 - alpha) * pilot.residual_mv;
+        }
+    }
+
+    /// The shard holding the chip with fleet index `idx` (its position
+    /// in id order) and the chip's index in it, or `None` past the end.
+    fn locate(&self, mut idx: usize) -> Option<(usize, usize)> {
+        for (s, shard) in self.shards.iter().enumerate() {
             if idx < shard.len() {
-                if let Some(mut pilot) = shard.pilot(idx) {
-                    pilot.residual_mv =
-                        alpha * residual_mv.abs() + (1.0 - alpha) * pilot.residual_mv;
-                    shard.set_pilot(idx, pilot);
-                }
-                return;
+                return Some((s, idx));
             }
             idx -= shard.len();
         }
+        None
     }
 
     /// Runs `epochs` further epochs.
@@ -1097,14 +941,7 @@ impl FleetSim {
     /// id order), or `None` past the end.
     #[must_use]
     pub fn chip(&self, idx: usize) -> Option<Chip> {
-        let mut idx = idx;
-        for shard in &self.shards {
-            if idx < shard.len() {
-                return Some(shard.chip(idx));
-            }
-            idx -= shard.len();
-        }
-        None
+        self.locate(idx).map(|(s, i)| self.shards[s].chip(i))
     }
 
     /// The events journaled since this sim was built or resumed, or

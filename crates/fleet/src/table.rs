@@ -7,13 +7,10 @@
 //! the live [`Decider`] — into an immutable flat vector, so serving a
 //! decision becomes a pure indexed read: no engine, no memo mutex, no
 //! allocation. The decider itself holds no table: a consumer that
-//! serves from one (`agequant-serve` renders each entry into a
-//! response body once) owns it and publishes it through a [`Swap`],
-//! falling back to [`Decider::decide_bucket_at`] when
-//! [`DecisionTable::lookup`] refuses a key. Lint SV002 pins every
-//! entry bit-identical to a fresh live decision on the same key.
-//!
-//! [`Swap`]: crate::Swap
+//! serves from one owns it, falling back to
+//! [`Decider::decide_bucket_at`] when [`DecisionTable::lookup`]
+//! refuses a key. Lint SV002 pins every entry bit-identical to a
+//! fresh live decision on the same key.
 
 use crate::decide::{Decider, Decision};
 use crate::FleetError;

@@ -27,7 +27,7 @@
 //! re-encodes can only raise the failure probability — the invariant
 //! lint ME001 and the proptests pin.
 
-use agequant_aging::TechProfile;
+use agequant_aging::{NbtiModel, TechProfile};
 use serde::{Deserialize, Serialize};
 
 /// The weight-SRAM cell degradation model: a [`TechProfile`]'s NBTI
@@ -195,27 +195,26 @@ impl SramCellModel {
         exposure
     }
 
-    /// Remaining read SNM (mV) after `exposure` equivalent full-stress
-    /// years: the profile's NBTI shift mapped through the linear SNM
-    /// sensitivity. Clamped at zero — a cell cannot have negative
-    /// margin.
+    /// The calibration with its NBTI kinetics derived once: a pass
+    /// that evaluates many cells builds it once and reads every
+    /// failure probability through it.
     #[must_use]
-    pub fn snm_mv(&self, exposure_years: f64) -> f64 {
-        let shift_mv = self
-            .profile
-            .nbti()
-            .vth_shift_at(exposure_years)
-            .millivolts();
-        (self.snm_fresh_mv - self.snm_per_vth * shift_mv).max(0.0)
+    pub fn calibrated(&self) -> CalibratedCell {
+        CalibratedCell {
+            cell: *self,
+            nbti: self.profile.nbti(),
+        }
     }
 
     /// Per-bit read-failure probability after `exposure` equivalent
-    /// full-stress years: the logistic tail of the remaining margin
-    /// over the variation spread. In `(0, 1)`, monotone in exposure.
+    /// full-stress years: the profile's NBTI shift mapped through the
+    /// linear SNM sensitivity into the remaining read SNM (clamped at
+    /// zero — a cell cannot have negative margin), then the logistic
+    /// tail of that margin over the variation spread. In `(0, 1)`,
+    /// monotone in exposure.
     #[must_use]
     pub fn failure_prob_at_exposure(&self, exposure_years: f64) -> f64 {
-        let margin = self.snm_mv(exposure_years) - self.snm_crit_mv;
-        1.0 / (1.0 + (margin / self.snm_sigma_mv).exp())
+        self.calibrated().failure_prob_at_exposure(exposure_years)
     }
 
     /// Per-bit read-failure probability of a bank with per-bit duty
@@ -224,6 +223,27 @@ impl SramCellModel {
     #[must_use]
     pub fn failure_prob(&self, asymmetry: f64, years: f64, reencodes: u32) -> f64 {
         self.failure_prob_at_exposure(self.stress_exposure_years(asymmetry, years, reencodes))
+    }
+}
+
+/// A [`SramCellModel`] with the NBTI power law of its profile already
+/// calibrated ([`SramCellModel::calibrated`]), so a failure probability
+/// costs no `powf` or check beyond the kinetics' own. The model's own
+/// methods run through it, so both give the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CalibratedCell {
+    cell: SramCellModel,
+    nbti: NbtiModel,
+}
+
+impl CalibratedCell {
+    /// Per-bit read-failure probability after `exposure` equivalent
+    /// full-stress years (see [`SramCellModel::failure_prob_at_exposure`]).
+    #[must_use]
+    pub fn failure_prob_at_exposure(&self, exposure_years: f64) -> f64 {
+        let shift_mv = self.nbti.vth_shift_at(exposure_years).millivolts();
+        let snm = (self.cell.snm_fresh_mv - self.cell.snm_per_vth * shift_mv).max(0.0);
+        1.0 / (1.0 + ((snm - self.cell.snm_crit_mv) / self.cell.snm_sigma_mv).exp())
     }
 }
 
@@ -282,6 +302,38 @@ mod tests {
             ..SramCellModel::INTEL14NM
         };
         assert!(nan.violations().iter().any(|m| m.contains("finite")));
+    }
+
+    /// The calibration built once gives the bits of the per-call
+    /// formula, which rebuilt the profile's power law for every
+    /// exposure, for the default cell and two perturbed calibrations.
+    #[test]
+    fn calibrated_cells_match_the_per_call_formula_bit_for_bit() {
+        let base = SramCellModel::INTEL14NM;
+        for scale in [1.0, 0.93, 1.12] {
+            let cell = SramCellModel {
+                profile: TechProfile {
+                    eol_shift_v: base.profile.eol_shift_v * scale,
+                    exponent: base.profile.exponent * scale,
+                    ..base.profile
+                },
+                snm_sigma_mv: base.snm_sigma_mv * scale,
+                snm_per_vth: base.snm_per_vth / scale,
+                ..base
+            };
+            assert_eq!(cell.is_default(), scale == 1.0);
+            let calibrated = cell.calibrated();
+            for step in 0..=400 {
+                let exposure = f64::from(step) * 0.0625;
+                let shift_mv = cell.profile.nbti().vth_shift_at(exposure).millivolts();
+                let snm = (cell.snm_fresh_mv - cell.snm_per_vth * shift_mv).max(0.0);
+                let margin = snm - cell.snm_crit_mv;
+                let reference = (1.0 / (1.0 + (margin / cell.snm_sigma_mv).exp())).to_bits();
+                let once = calibrated.failure_prob_at_exposure(exposure).to_bits();
+                assert_eq!(once, reference, "exposure {exposure}");
+                assert_eq!(cell.failure_prob_at_exposure(exposure).to_bits(), reference);
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ mod duty;
 mod encode;
 mod report;
 
-pub use cell::SramCellModel;
+pub use cell::{CalibratedCell, SramCellModel};
 pub use config::MemoryConfig;
 pub use duty::{profile_model, profile_model_for_beta, worst_asymmetry, BankDuty};
 pub use encode::{encode_bank, EncodedBank, ReencodeSchedule};

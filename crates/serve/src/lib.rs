@@ -43,10 +43,10 @@
 //! one loop thread, so idle connections cost a file descriptor, not a
 //! thread. `POST /v1/plan` requests inside the served ΔVth range are
 //! answered *on the loop* from an immutable prerendered decision
-//! table (an atomically swapped
-//! [`DecisionTable`](agequant_fleet::DecisionTable)-backed plan set
-//! whose publish protocol is model-checked): no lock, no queue, no
-//! engine, byte-identical to the live path. That plan set is the
+//! table (an atomically swapped plan set of one response body per
+//! bucket, rendered from the live decider, whose publish protocol is
+//! model-checked): no lock, no queue, no engine, byte-identical to the
+//! live path. That plan set is the
 //! server's only table; workers answer from it too, and decide live
 //! only what it cannot answer. Everything else goes to a
 //! bounded-queue worker pool built on the `agequant-check` facade

@@ -62,8 +62,7 @@ use agequant_check::thread::{self, JoinHandle};
 use agequant_aging::{ModelSpec, VthShift};
 use agequant_core::EvalEngine;
 use agequant_fleet::{
-    AutopilotConfig, Chip, Decider, Decision, DecisionTable, FleetConfig, FleetSim, Swap,
-    SwapReader,
+    AutopilotConfig, Chip, Decider, Decision, FleetConfig, FleetSim, Swap, SwapReader,
 };
 use serde::{Deserialize, Value};
 
@@ -140,22 +139,21 @@ pub(crate) struct RenderedPlans {
 }
 
 impl RenderedPlans {
-    /// Materializes `decider`'s decision table over the served range
-    /// `0..=max_mv` and renders every bucket through [`plan_response`]
-    /// — the same function a live decision renders through, which is
-    /// what makes a table answer bit-identical to it. `None` if
-    /// characterization fails.
+    /// Decides every bucket of the served range `0..=max_mv` through
+    /// `decider` and renders each through [`plan_response`] — the same
+    /// function a live decision renders through, which is what makes a
+    /// table answer bit-identical to it. `None` if characterization
+    /// fails.
     fn build(decider: &Decider, max_mv: f64) -> Option<Self> {
         let max_bucket = decider.bucket_of(VthShift::from_millivolts(max_mv + 1e-9));
-        let table = DecisionTable::build(decider, max_bucket, &[]).ok()?;
         let bodies = (0..=max_bucket)
             .map(|bucket| {
-                let decision = table.lookup(bucket, decider.constraint_ps())?;
+                let decision = decider.decide_bucket(bucket).ok()?;
                 Some(Arc::from(render_value(&plan_response(decider, &decision))))
             })
             .collect::<Option<_>>()?;
         Some(RenderedPlans {
-            bucket_mv: table.bucket_mv(),
+            bucket_mv: decider.config().bucket_mv,
             bodies,
         })
     }
@@ -521,7 +519,8 @@ pub(crate) fn route(
             // scrapes only pay for building it when an axis is live.
             let (memory, autopilot) = {
                 let sim = shared.fleet.lock().expect("unpoisoned fleet");
-                let wants = shared.decider.memory().is_some() || sim.config().autopilot.is_some();
+                let wants = shared.decider.config().memory.as_ref().is_some()
+                    || sim.config().autopilot.is_some();
                 if wants {
                     let summary = sim.summary();
                     (summary.memory, summary.autopilot)
@@ -792,7 +791,7 @@ fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, Res
 /// the axis existed, so memory-off deployments see no change.
 fn memory_summary_response(shared: &Shared) -> Response {
     use serde::Serialize;
-    let Some(memory) = shared.decider.memory() else {
+    let Some(memory) = shared.decider.config().memory.as_ref() else {
         return Response::json(404, error_body("memory axis disabled"));
     };
     let sim = shared.fleet.lock().expect("unpoisoned fleet");
@@ -1055,7 +1054,7 @@ pub fn plan_response(decider: &Decider, decision: &Decision) -> Value {
     // pre-memory wire bytes (pinned by the fixture test). The planned
     // weight truncation β selects the stored-bit asymmetry the cells
     // will integrate, so this is where a plan's memory cost shows up.
-    if let Some(memory) = decider.memory() {
+    if let Some(memory) = &decider.config().memory {
         let beta = match decision {
             Decision::Plan(plan) => plan.plan.compression.beta(),
             Decision::Degrade { .. } => 0,
