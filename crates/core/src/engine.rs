@@ -380,17 +380,21 @@ impl EvalEngine {
         found
     }
 
-    /// Counts one plan hit for `model_key`: for a caller that answers a
-    /// repeat from a plan this engine served it, as if the repeat had
-    /// asked [`cached_plan`](Self::cached_plan).
+    /// Counts `n` plan hits for `model_key`: for a caller that answers
+    /// `n` repeats from plans this engine served it, as if each repeat
+    /// had asked [`cached_plan`](Self::cached_plan). Counting zero hits
+    /// touches nothing.
     ///
     /// # Panics
     ///
     /// Panics if the counter map was poisoned by a panicking caller.
-    pub fn count_plan_hit(&self, model_key: &str) {
+    pub fn count_plan_hits(&self, model_key: &str, n: u64) {
+        if n == 0 {
+            return;
+        }
         self.counters(model_key)
             .plan_hits
-            .fetch_add(1, Ordering::Relaxed);
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records a freshly computed plan for `(model_key, shift,

@@ -13,11 +13,20 @@
 //! `(bucket, constraint bits)` to the whole [`Decision`], so a repeated
 //! key costs one memo lock and one lookup; a feasible repeat counts the
 //! plan hit its skipped engine round trip would have counted
-//! ([`EvalEngine::count_plan_hit`]). A new key asks the engine, which
+//! ([`EvalEngine::count_plan_hits`]). A new key asks the engine, which
 //! shares one grid scan across every constraint at a ΔVth, then method
 //! selection, memoized per [`BitWidths`]: a new constraint on a known
 //! level and bit-width pair is decided without running STA or
 //! evaluating a network.
+//!
+//! The closed-loop fleet reads repeats without the lock: before an
+//! epoch's grants and after each first touch, [`Decider::decided_buckets`]
+//! copies the default constraint's decisions into a bucket-indexed
+//! view, the shards settle every grant whose keys the view holds in
+//! parallel, and each shard counts the plan hits of the grants it
+//! committed in one [`Decider::count_plan_hits`] call. Only a key the
+//! view lacks — a first touch — reaches [`Decider::decide_bucket`], in
+//! grant order.
 //!
 //! [`FleetSim`]: crate::FleetSim
 
@@ -88,6 +97,12 @@ struct Memos {
     /// Lazily built evaluation network for method selection.
     model: Option<Model>,
 }
+
+/// The buckets [`Decider::decided_buckets`] covers, which bounds the
+/// view's allocation whatever bucket a caller once asked for. At the
+/// default 10 mV grid that is 40 V of ΔVth; a decision past it is left
+/// out of the view, so a grant that needs one takes the serial path.
+const VIEW_BUCKETS: usize = 1 << 12;
 
 /// The compression-decision core shared by [`FleetSim`] and the
 /// network server.
@@ -245,7 +260,7 @@ impl Decider {
             .copied();
         if let Some(decision) = memo {
             if decision.plan().is_some() {
-                self.flow.engine().count_plan_hit(self.flow.model_key());
+                self.flow.engine().count_plan_hits(self.flow.model_key(), 1);
             }
             return Ok(decision);
         }
@@ -306,6 +321,40 @@ impl Decider {
         };
         memos.methods.insert(bits, method);
         Ok(method)
+    }
+
+    /// Every decision made so far under the default constraint for a
+    /// bucket below [`VIEW_BUCKETS`], indexed by bucket (`None` for a
+    /// bucket not yet decided), read under one memo lock. A read-only
+    /// snapshot: it counts no hit and records nothing, so a caller that
+    /// answers repeats from it counts their plan hits itself
+    /// ([`Decider::count_plan_hits`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the internal memo lock was poisoned.
+    #[must_use]
+    pub(crate) fn decided_buckets(&self) -> Vec<Option<Decision>> {
+        let bits = self.constraint_ps.to_bits();
+        let memos = self.memos.lock().expect("unpoisoned memos");
+        let mut decided = Vec::new();
+        for (&(bucket, constraint), decision) in &memos.decisions {
+            let at = usize::try_from(bucket).unwrap_or(usize::MAX);
+            if constraint == bits && at < VIEW_BUCKETS {
+                if at >= decided.len() {
+                    decided.resize(at + 1, None);
+                }
+                decided[at] = Some(*decision);
+            }
+        }
+        decided
+    }
+
+    /// Counts `n` plan hits for this decider's model: the repeats a
+    /// caller answered from [`Decider::decided_buckets`] instead of
+    /// [`Decider::decide_bucket`], which would have counted one each.
+    pub(crate) fn count_plan_hits(&self, n: u64) {
+        self.flow.engine().count_plan_hits(self.flow.model_key(), n);
     }
 
     /// The smallest bucket proven infeasible under the default

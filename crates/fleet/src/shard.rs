@@ -16,20 +16,32 @@
 //! before it, so the sampled fleet is bit-identical to the
 //! single-stream construction); the substream lives only while
 //! sampling. Shards age independently — the physics pass is pure per
-//! chip — while decisions stay strictly serialized in shard order by
-//! the simulator, which keeps the engine's cache counters and the
-//! decider's memo order identical to an unsharded run.
+//! chip. Every decider call that can decide a new key runs on the
+//! simulator's serial path, in the order of an unsharded run, which
+//! keeps the engine's cache counters and the decider's memo order
+//! identical to it.
 //!
 //! Every per-chip rule has one home here: a bucket crossing
 //! ([`FleetShard::cross`]), a replan ([`FleetShard::replan`]), the
-//! memory verdict, and a granted telemetry sample
-//! ([`FleetShard::apply_grant`]).
+//! memory verdict, and a granted telemetry sample. A grant takes two
+//! steps. [`FleetShard::settle`] reads the shard and a decision lookup
+//! and computes all the grant does, or reports it undecided when the
+//! lookup lacks a key; [`FleetShard::commit`] writes a settled grant
+//! to the chip's columns and journal. The closed loop probes and
+//! settles each shard's grants against the decider's bucket-indexed
+//! view in parallel ([`FleetShard::sample_granted`], then
+//! [`FleetShard::commit_decided`] for grants kept back), and a grant
+//! that needs a key nobody has decided settles through the live
+//! decider instead, on the serial path, by the same two steps.
 //!
 //! `kinetics` additionally pre-resolves each chip's [`ModelSpec`] into
 //! a [`HotKinetics`] value: the NBTI power-law calibration and the HCI
 //! closed form are computed once per chip instead of once per
 //! chip-epoch, bit-identically to evaluating the spec directly (the
 //! surrogate table keeps delegating to the spec).
+
+use std::cmp::Reverse;
+use std::convert::Infallible;
 
 use agequant_aging::{MissionProfile, ModelSpec, NbtiModel, VthShift};
 use agequant_autopilot::{AutopilotConfig, Observation, PilotState, Regime};
@@ -112,13 +124,43 @@ impl HotKinetics {
 /// its last sample, and its index in the shard.
 pub(crate) type DueChip = (Regime, u64, usize);
 
+/// A telemetry sample the budget ledger granted, as the ledger hands it
+/// to the chip's shard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Granted {
+    /// The grant's place in the epoch's fleet-wide grant order.
+    pub(crate) rank: usize,
+    /// The chip's index in its shard.
+    pub(crate) index: usize,
+    /// The priority class the grant was issued under.
+    pub(crate) class: Regime,
+    /// The ledger's tokens left after the grant.
+    pub(crate) tokens_left: u64,
+}
+
+/// What every granted sample of one closed-loop epoch shares.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SampleEpoch<'a> {
+    /// The autopilot's thresholds.
+    pub(crate) autopilot: &'a AutopilotConfig,
+    /// The epoch being stepped.
+    pub(crate) epoch: u64,
+    /// Deployment years at the end of the epoch.
+    pub(crate) years: f64,
+    /// Width of one aging bucket, mV.
+    pub(crate) bucket_mv: f64,
+    /// The memory config and its once-calibrated cell, when the fleet
+    /// tracks memory.
+    pub(crate) memory: Option<(&'a MemoryConfig, &'a CalibratedCell)>,
+}
+
 /// What a granted telemetry sample reads from the chip's own columns.
 /// Probes are pure, so the simulator computes them per shard in
-/// parallel and applies them serially.
+/// parallel.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Probe {
-    /// The chip's index in its shard.
-    index: usize,
+    /// The grant the sample was taken under.
+    grant: Granted,
     /// Ground-truth ΔVth, mV.
     mv: f64,
     /// The bucket `mv` truly sits in.
@@ -128,10 +170,44 @@ pub(crate) struct Probe {
     memory: (Option<MemoryAction>, f64),
 }
 
+impl Probe {
+    /// The grant's place in the epoch's fleet-wide grant order.
+    pub(crate) fn rank(&self) -> usize {
+        self.grant.rank
+    }
+}
+
+/// A granted sample settled against known decisions
+/// ([`FleetShard::settle`]): everything [`FleetShard::commit`] writes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Settled {
+    grant: Granted,
+    /// The revealed crossing: the bucket reached, and its decision
+    /// (`None` for a guardbanded chip, which only tracks its bucket).
+    crossing: Option<(u64, Option<Decision>)>,
+    /// The memory action the sample orders.
+    memory: Option<MemoryAction>,
+    /// The pilot state with the observation folded in.
+    pilot: PilotState,
+    /// The regime change the observation caused.
+    transition: Option<(Regime, Regime)>,
+    /// The effective aging rate the regime machine stepped on, mV per
+    /// epoch.
+    rate_mv_per_epoch: f64,
+    /// Headroom to the planned bucket's upper edge, mV.
+    margin_mv: f64,
+    /// The Intervene push's decision for the projected bucket.
+    push: Option<Decision>,
+    /// Feasible decisions read, the Watch prefetch's included: one plan
+    /// hit each.
+    plan_hits: u64,
+}
+
 /// A contiguous id range of the fleet in struct-of-arrays layout:
 /// hot physics fields in their own arrays, cold identity fields in
 /// side tables, plus the shard's journal segment.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct FleetShard {
     // Hot: scanned every epoch by the physics pass.
     accel: Vec<f64>,
@@ -387,16 +463,18 @@ impl FleetShard {
         });
     }
 
-    /// Every enrolled chip due for a sample at `epoch`, in index order,
-    /// with the priority class it requests under. A chip whose own
-    /// last-known rate projects it past its recorded bucket's edge has
-    /// likely already crossed while waiting, and a chip that has never
-    /// taken a real reading (ΔVth is strictly positive once any time
-    /// has passed) cannot be rationed on knowledge it does not have.
-    /// Both request at Intervene priority regardless of their resting
-    /// regime, so sustained budget pressure can delay quiet chips but
-    /// never park a chip on a stale plan across a boundary, and every
-    /// enrolled chip gets its baseline read.
+    /// Every enrolled chip due for a sample at `epoch`, with the
+    /// priority class it requests under, in rank order: classes
+    /// descending, then the least recently sampled first, then index
+    /// order. A chip whose own last-known rate projects it past its
+    /// recorded bucket's edge has likely already crossed while
+    /// waiting, and a chip that has never taken a real reading (ΔVth
+    /// is strictly positive once any time has passed) cannot be
+    /// rationed on knowledge it does not have. Both request at
+    /// Intervene priority regardless of their resting regime, so
+    /// sustained budget pressure can delay quiet chips but never park
+    /// a chip on a stale plan across a boundary, and every enrolled
+    /// chip gets its baseline read.
     pub(crate) fn due_chips(&self, epoch: u64, bucket_mv: f64) -> Vec<DueChip> {
         let mut due = Vec::new();
         for (i, pilot) in self.pilot.iter().enumerate() {
@@ -420,26 +498,24 @@ impl FleetShard {
             };
             due.push((class, pilot.last_epoch, i));
         }
+        // Stable, so index order holds within a (class, last sample)
+        // run; the few distinct keys make this cheaper than sorting on
+        // the index too.
+        due.sort_by_key(|&(class, last_epoch, _)| (Reverse(class), last_epoch));
         due
     }
 
-    /// Reads what a granted sample of chip `i` at `years` reveals (see
-    /// [`Probe`]): its ground truth and, when the fleet tracks memory,
-    /// its memory verdict under the config and its once-calibrated
-    /// cell.
-    pub(crate) fn probe(
-        &self,
-        i: usize,
-        years: f64,
-        bucket_mv: f64,
-        memory: Option<(&MemoryConfig, &CalibratedCell)>,
-    ) -> Probe {
-        let (mv, true_bucket) = self.observe(i, years, bucket_mv);
+    /// Reads what a granted sample of chip `grant.index` at the end of
+    /// epoch `at` reveals (see [`Probe`]): its ground truth and, when
+    /// the fleet tracks memory, its memory verdict.
+    pub(crate) fn probe(&self, grant: Granted, at: &SampleEpoch) -> Probe {
+        let i = grant.index;
+        let (mv, true_bucket) = self.observe(i, at.years, at.bucket_mv);
         Probe {
-            index: i,
+            grant,
             mv,
             true_bucket,
-            memory: memory.map_or((None, 0.0), |(config, cell)| {
+            memory: at.memory.map_or((None, 0.0), |(config, cell)| {
                 self.memory_verdict(i, config, cell)
             }),
         }
@@ -486,6 +562,19 @@ impl FleetShard {
         to: u64,
         epoch: u64,
     ) -> Result<(), FleetError> {
+        let decision = if self.is_guardband(i) {
+            None
+        } else {
+            Some(decider.decide_bucket(to)?)
+        };
+        self.commit_crossing(i, to, decision, epoch);
+        Ok(())
+    }
+
+    /// Journals chip `i`'s crossing into bucket `to`, then applies
+    /// `decision`, the decision for `to`; `None` (a guardbanded chip)
+    /// only moves the chip to `to`.
+    fn commit_crossing(&mut self, i: usize, to: u64, decision: Option<Decision>, epoch: u64) {
         self.push_event(JournalEvent {
             epoch,
             chip: self.id[i],
@@ -494,16 +583,13 @@ impl FleetShard {
                 to,
             },
         });
-        if self.is_guardband(i) {
-            self.bucket[i] = to;
-            return Ok(());
+        match decision {
+            Some(decision) => self.apply_decision(i, decision, epoch),
+            None => self.bucket[i] = to,
         }
-        self.replan(decider, i, to, epoch)
     }
 
-    /// Serves chip `i` the decision for `bucket` and applies it,
-    /// journaling the new plan or the degradation to the guardbanded
-    /// clock.
+    /// Serves chip `i` the decision for `bucket` and applies it.
     pub(crate) fn replan(
         &mut self,
         decider: &Decider,
@@ -512,6 +598,15 @@ impl FleetShard {
         epoch: u64,
     ) -> Result<(), FleetError> {
         let decision = decider.decide_bucket(bucket)?;
+        self.apply_decision(i, decision, epoch);
+        Ok(())
+    }
+
+    /// Moves chip `i` to `decision`'s bucket and applies the decision,
+    /// journaling the new plan or the degradation to the guardbanded
+    /// clock.
+    fn apply_decision(&mut self, i: usize, decision: Decision, epoch: u64) {
+        let bucket = decision.bucket();
         self.bucket[i] = bucket;
         let kind = match decision {
             Decision::Plan(plan) => {
@@ -536,48 +631,70 @@ impl FleetShard {
             chip: self.id[i],
             kind,
         });
-        Ok(())
     }
 
-    /// Applies one granted telemetry sample: reacts to anything the
-    /// sample's [`Probe`] revealed (bucket crossing, memory action),
-    /// folds the observation into the pilot state, and takes the new
-    /// regime's proactive posture — Watch prefetches the next bucket's
-    /// plan into the engine cache, Intervene pushes the projected
-    /// bucket's plan *before* the boundary is reached.
-    pub(crate) fn apply_grant(
-        &mut self,
-        decider: &Decider,
-        autopilot: &AutopilotConfig,
-        probe: Probe,
-        epoch: u64,
-        tokens_left: u64,
-        class: Regime,
-    ) -> Result<(), FleetError> {
+    /// Settles one granted telemetry sample without touching the shard:
+    /// reacts to anything the sample's [`Probe`] revealed (bucket
+    /// crossing, memory action), folds the observation into a copy of
+    /// the pilot state, and takes the new regime's proactive posture —
+    /// Watch prefetches the next bucket's decision, Intervene pushes the
+    /// projected bucket's plan *before* the boundary is reached.
+    ///
+    /// `lookup` answers each decision the grant needs, in that order.
+    /// An answer of `Ok(None)` (a key `lookup` has not decided) settles
+    /// the whole grant to `None`, undecided, without asking further.
+    pub(crate) fn settle<E>(
+        &self,
+        at: &SampleEpoch,
+        probe: &Probe,
+        mut lookup: impl FnMut(u64) -> Result<Option<Decision>, E>,
+    ) -> Result<Option<Settled>, E> {
+        let SampleEpoch {
+            autopilot,
+            epoch,
+            bucket_mv,
+            ..
+        } = *at;
         let Probe {
-            index: i,
+            grant,
             mv,
             true_bucket,
             memory: (memory, mem_pressure),
-        } = probe;
-        let bucket_mv = decider.config().bucket_mv;
+        } = *probe;
+        let i = grant.index;
+        let mut plan_hits = 0;
+        let mut decide = |bucket| {
+            let decision = lookup(bucket)?;
+            plan_hits += u64::from(matches!(decision, Some(Decision::Plan(_))));
+            Ok(decision)
+        };
+        let (mut bucket, mut guardband) = (self.bucket[i], self.is_guardband(i));
         // A revealed crossing is handled exactly as the always-on
         // path handles one.
-        if true_bucket > self.bucket[i] {
-            self.cross(decider, i, true_bucket, epoch)?;
-        }
-        if let Some(action) = memory {
-            self.apply_memory_action(epoch, i, action);
-        }
+        let crossing = if true_bucket > bucket {
+            let decision = if guardband {
+                None
+            } else {
+                let Some(decision) = decide(true_bucket)? else {
+                    return Ok(None);
+                };
+                guardband = matches!(decision, Decision::Degrade { .. });
+                Some(decision)
+            };
+            bucket = true_bucket;
+            Some((true_bucket, decision))
+        } else {
+            None
+        };
         // Headroom to the *planned* bucket's upper edge. A guardbanded
         // chip has nothing left to protect on the timing axis, so its
         // boundary is reported infinitely far; memory pressure alone
         // can still escalate it.
         #[allow(clippy::cast_precision_loss)]
-        let margin_mv = if self.is_guardband(i) {
+        let margin_mv = if guardband {
             f64::INFINITY
         } else {
-            ((self.bucket[i].saturating_add(1)) as f64 * bucket_mv - mv).max(0.0)
+            ((bucket.saturating_add(1)) as f64 * bucket_mv - mv).max(0.0)
         };
         let mut pilot = self.pilot[i].expect("sampled chip has a pilot");
         let transition = autopilot.observe(
@@ -590,45 +707,20 @@ impl FleetShard {
                 mem_pressure,
             },
         );
-        self.pilot[i] = Some(pilot);
-        // The journaled regime is the priority class the grant was
-        // issued under — an overrun-escalated Calm chip's message
-        // rode the Intervene overdraft, and the ledger audit (AP002)
-        // holds token-funded grants, not overdraft grants, to the
-        // per-epoch budget.
-        let chip = self.id[i];
-        self.push_event(JournalEvent {
-            epoch,
-            chip,
-            kind: EventKind::CadenceGranted {
-                regime: class,
-                next_epoch: pilot.next_epoch,
-                tokens_left,
-            },
-        });
         // The same effective rate `observe` stepped the machine on —
         // journaled so AP002 can replay the pure transition.
-        let rate = autopilot.effective_rate(&pilot, mem_pressure);
-        if let Some((from, to)) = transition {
-            self.push_event(JournalEvent {
-                epoch,
-                chip,
-                kind: EventKind::RegimeChanged {
-                    from,
-                    to,
-                    rate_mv_per_epoch: rate,
-                    margin_mv,
-                },
-            });
-        }
-        match pilot.regime {
-            Regime::Watch if !self.is_guardband(i) => {
+        let rate_mv_per_epoch = autopilot.effective_rate(&pilot, mem_pressure);
+        let push = match pilot.regime {
+            Regime::Watch if !guardband => {
                 // Prefetch the next bucket's plan: the decision is
-                // discarded, but the characterization warms the engine
-                // cache so the eventual crossing is a cache hit.
-                decider.decide_bucket(self.bucket[i].saturating_add(1))?;
+                // discarded, but deciding it ahead of the crossing
+                // makes the eventual crossing a memo hit.
+                if decide(bucket.saturating_add(1))?.is_none() {
+                    return Ok(None);
+                }
+                None
             }
-            Regime::Intervene if !self.is_guardband(i) => {
+            Regime::Intervene if !guardband => {
                 // Proactive plan push: project ΔVth over the Intervene
                 // horizon (or to the next sample, whichever is
                 // farther); if the chip will have crossed by then,
@@ -644,16 +736,137 @@ impl FleetShard {
                     .saturating_sub(epoch)
                     .max(u64::from(autopilot.intervene_horizon_epochs));
                 #[allow(clippy::cast_precision_loss)]
-                let projected_mv = mv + rate * lookahead as f64;
+                let projected_mv = mv + rate_mv_per_epoch * lookahead as f64;
                 let projected = Chip::bucket_of(VthShift::from_millivolts(projected_mv), bucket_mv)
                     .min(true_bucket.saturating_add(1));
-                if projected > self.bucket[i] {
-                    self.replan(decider, i, projected, epoch)?;
+                if projected > bucket {
+                    let Some(decision) = decide(projected)? else {
+                        return Ok(None);
+                    };
+                    Some(decision)
+                } else {
+                    None
                 }
             }
-            _ => {}
+            _ => None,
+        };
+        Ok(Some(Settled {
+            grant,
+            crossing,
+            memory,
+            pilot,
+            transition,
+            rate_mv_per_epoch,
+            margin_mv,
+            push,
+            plan_hits,
+        }))
+    }
+
+    /// Applies a settled grant to its chip, journaling in the order the
+    /// grant acts: the crossing with its replan or degradation, the
+    /// memory action, the cadence grant, the regime change, and last
+    /// the Intervene push.
+    pub(crate) fn commit(&mut self, settled: Settled, epoch: u64) {
+        let i = settled.grant.index;
+        if let Some((to, decision)) = settled.crossing {
+            self.commit_crossing(i, to, decision, epoch);
         }
-        Ok(())
+        if let Some(action) = settled.memory {
+            self.apply_memory_action(epoch, i, action);
+        }
+        self.pilot[i] = Some(settled.pilot);
+        // The journaled regime is the priority class the grant was
+        // issued under — an overrun-escalated Calm chip's message
+        // rode the Intervene overdraft, and the ledger audit (AP002)
+        // holds token-funded grants, not overdraft grants, to the
+        // per-epoch budget.
+        let chip = self.id[i];
+        self.push_event(JournalEvent {
+            epoch,
+            chip,
+            kind: EventKind::CadenceGranted {
+                regime: settled.grant.class,
+                next_epoch: settled.pilot.next_epoch,
+                tokens_left: settled.grant.tokens_left,
+            },
+        });
+        if let Some((from, to)) = settled.transition {
+            self.push_event(JournalEvent {
+                epoch,
+                chip,
+                kind: EventKind::RegimeChanged {
+                    from,
+                    to,
+                    rate_mv_per_epoch: settled.rate_mv_per_epoch,
+                    margin_mv: settled.margin_mv,
+                },
+            });
+        }
+        if let Some(decision) = settled.push {
+            self.apply_decision(i, decision, epoch);
+        }
+    }
+
+    /// Probes each of `grants`, in order, and commits every one that
+    /// settles against `decided` (see [`FleetShard::commit_decided`]).
+    /// Returns the probes of the undecided ones, in order, and the plan
+    /// hits the committed grants read.
+    pub(crate) fn sample_granted(
+        &mut self,
+        at: &SampleEpoch,
+        grants: &[Granted],
+        decided: &[Option<Decision>],
+    ) -> (Vec<Probe>, u64) {
+        let (mut undecided, mut plan_hits) = (Vec::new(), 0);
+        for &grant in grants {
+            let probe = self.probe(grant, at);
+            match self.commit_if_decided(at, &probe, decided) {
+                Some(hits) => plan_hits += hits,
+                None => undecided.push(probe),
+            }
+        }
+        (undecided, plan_hits)
+    }
+
+    /// Settles each of `probes` against `decided`, the decider's
+    /// bucket-indexed view ([`Decider::decided_buckets`]), commits in
+    /// order every grant that settles, and keeps the undecided ones, in
+    /// order. Returns the plan hits the committed grants read.
+    pub(crate) fn commit_decided(
+        &mut self,
+        at: &SampleEpoch,
+        probes: &mut Vec<Probe>,
+        decided: &[Option<Decision>],
+    ) -> u64 {
+        let mut plan_hits = 0;
+        probes.retain(|probe| match self.commit_if_decided(at, probe, decided) {
+            Some(hits) => {
+                plan_hits += hits;
+                false
+            }
+            None => true,
+        });
+        plan_hits
+    }
+
+    /// Commits `probe`'s grant if it settles against `decided`, and
+    /// returns the plan hits it read; `None` leaves the shard untouched.
+    fn commit_if_decided(
+        &mut self,
+        at: &SampleEpoch,
+        probe: &Probe,
+        decided: &[Option<Decision>],
+    ) -> Option<u64> {
+        let lookup = |bucket: u64| {
+            let at = usize::try_from(bucket).ok();
+            Ok::<_, Infallible>(at.and_then(|at| decided.get(at).copied().flatten()))
+        };
+        let Ok(settled) = self.settle(at, probe, lookup);
+        let settled = settled?;
+        let plan_hits = settled.plan_hits;
+        self.commit(settled, at.epoch);
+        Some(plan_hits)
     }
 }
 
@@ -662,6 +875,7 @@ mod tests {
     use agequant_aging::{DegradationModel, TechProfile};
 
     use super::*;
+    use crate::FleetConfig;
 
     /// The hot-kinetics fast paths must be bit-identical to evaluating
     /// the model spec directly — that is the whole equivalence
@@ -725,5 +939,175 @@ mod tests {
             })
             .collect();
         assert_eq!(crossed, expected);
+    }
+
+    const BUCKET_MV: f64 = 10.0;
+    const EPOCH: u64 = 10;
+
+    /// A one-chip shard at bucket 0, enrolled with `pilot`.
+    fn pilot_shard(pilot: PilotState) -> FleetShard {
+        let mut rng = FleetRng::seed_from_u64(9);
+        let chip = Chip::sample(0, &ModelSpec::default(), &mut rng);
+        let mut shard = FleetShard::from_chips(std::iter::once(chip));
+        shard.pilot[0] = Some(pilot);
+        shard
+    }
+
+    /// A Calm pilot last sampled the epoch before at `last_mv`, with
+    /// EWMA rate `rate_mv_per_epoch`.
+    fn pilot(last_mv: f64, rate_mv_per_epoch: f64) -> PilotState {
+        PilotState {
+            last_mv,
+            rate_mv_per_epoch,
+            last_epoch: EPOCH - 1,
+            next_epoch: EPOCH,
+            ..PilotState::FRESH
+        }
+    }
+
+    /// A granted sample of the shard's one chip, reading `mv`.
+    fn probe_at(mv: f64) -> Probe {
+        Probe {
+            grant: Granted {
+                rank: 0,
+                index: 0,
+                class: Regime::Calm,
+                tokens_left: 7,
+            },
+            mv,
+            true_bucket: Chip::bucket_of(VthShift::from_millivolts(mv), BUCKET_MV),
+            memory: (None, 0.0),
+        }
+    }
+
+    /// Epoch `EPOCH` of a fleet without the memory axis.
+    fn sample_epoch(autopilot: &AutopilotConfig) -> SampleEpoch<'_> {
+        SampleEpoch {
+            autopilot,
+            epoch: EPOCH,
+            years: 1.0,
+            bucket_mv: BUCKET_MV,
+            memory: None,
+        }
+    }
+
+    fn kinds(shard: &FleetShard) -> Vec<EventKind> {
+        shard.journal().iter().map(|event| event.kind).collect()
+    }
+
+    /// A grant whose key the view has not decided settles to nothing
+    /// and leaves the chip's columns, its pilot and the journal as
+    /// they were.
+    #[test]
+    fn an_undecided_grant_settles_to_nothing_and_touches_nothing() {
+        let autopilot = AutopilotConfig::demo();
+        let decider = Decider::from_config(&FleetConfig::new(1, 7)).expect("valid config");
+        let mut shard = pilot_shard(pilot(20.0, 0.1));
+        shard.replan(&decider, 0, 0, 0).expect("decides");
+        let (chip, journal_len) = (shard.chip(0), shard.journal().len());
+        // The sample reveals a crossing into bucket 2, which only the
+        // live decider could decide.
+        let mut probes = vec![probe_at(21.0)];
+        let decided = decider.decided_buckets();
+        let hits = shard.commit_decided(&sample_epoch(&autopilot), &mut probes, &decided);
+        assert_eq!((hits, probes.len()), (0, 1), "kept for the live decider");
+        assert_eq!(shard.chip(0), chip);
+        assert_eq!(shard.journal().len(), journal_len);
+        assert_eq!(
+            decider.buckets_planned(),
+            vec![0],
+            "the view decides nothing"
+        );
+    }
+
+    /// Once the grant's keys are decided, settling against the
+    /// decider's view and committing equals settling through the live
+    /// decider — the same columns, journal and plan hits — for a
+    /// crossing, a degrade, a Watch prefetch and an Intervene push.
+    #[test]
+    fn settling_against_the_view_equals_the_live_decider() {
+        let autopilot = AutopilotConfig::demo();
+        let tight = FleetConfig {
+            constraint_factor: 0.3, // infeasible from bucket 0
+            ..FleetConfig::new(1, 7)
+        };
+        let at = sample_epoch(&autopilot);
+        let live = |shard: &mut FleetShard, decider: &Decider, probe: &Probe| {
+            let settled = shard
+                .settle(&at, probe, |bucket| decider.decide_bucket(bucket).map(Some))
+                .expect("decides")
+                .expect("the live decider decides every key");
+            shard.commit(settled, EPOCH);
+        };
+        let cases = [
+            // 1 mV in one epoch with 9 mV left: stays Calm.
+            ("crossing", FleetConfig::new(1, 7), pilot(20.0, 0.1), 21.0),
+            ("degrade", tight, pilot(20.0, 0.1), 21.0),
+            // 5 mV left at 0.75 mV/epoch: inside the Watch horizon.
+            ("watch", FleetConfig::new(1, 7), pilot(4.0, 0.5), 5.0),
+            // 2 mV left at 1.5 mV/epoch: Intervene, projected past 10.
+            ("intervene", FleetConfig::new(1, 7), pilot(6.0, 1.0), 8.0),
+        ];
+        for (name, config, pilot, mv) in cases {
+            let decider = Decider::from_config(&config).expect("valid config");
+            let shard = pilot_shard(pilot);
+            let probe = probe_at(mv);
+            // First touches: the live decider decides the grant's keys.
+            let mut first = shard.clone();
+            live(&mut first, &decider, &probe);
+            let engine = decider.flow().engine();
+            let before = engine.stats().plan_hits;
+            let mut repeat = shard.clone();
+            live(&mut repeat, &decider, &probe);
+            let live_hits = engine.stats().plan_hits - before;
+
+            let mut viewed = shard.clone();
+            let mut probes = vec![probe];
+            let decided = decider.decided_buckets();
+            let hits = viewed.commit_decided(&at, &mut probes, &decided);
+            assert!(probes.is_empty(), "{name}: settled against the view");
+            assert_eq!(hits, live_hits, "{name}: plan hits");
+            for other in [&first, &repeat] {
+                assert_eq!(viewed.chip(0), other.chip(0), "{name}: columns");
+                assert_eq!(viewed.journal(), other.journal(), "{name}: journal");
+            }
+
+            let events = kinds(&viewed);
+            let regime = viewed.chip(0).pilot.expect("enrolled").regime;
+            match name {
+                "crossing" => {
+                    assert!(matches!(
+                        events[..2],
+                        [
+                            EventKind::BucketCrossed { from: 0, to: 2 },
+                            EventKind::Replanned { bucket: 2, .. }
+                        ]
+                    ));
+                    assert_eq!(regime, Regime::Calm);
+                }
+                "degrade" => {
+                    assert!(matches!(
+                        events[..2],
+                        [
+                            EventKind::BucketCrossed { from: 0, to: 2 },
+                            EventKind::Degraded { bucket: 2 }
+                        ]
+                    ));
+                    assert!(viewed.is_guardband(0));
+                }
+                "watch" => {
+                    assert_eq!(regime, Regime::Watch);
+                    assert_eq!(decider.buckets_planned(), vec![1], "the prefetched key");
+                    assert_eq!(hits, 1, "the prefetch reads one plan");
+                }
+                _ => {
+                    assert_eq!(regime, Regime::Intervene);
+                    assert!(matches!(
+                        events.last(),
+                        Some(EventKind::Replanned { bucket: 1, .. })
+                    ));
+                }
+            }
+        }
     }
 }

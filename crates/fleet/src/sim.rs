@@ -20,12 +20,14 @@
 //! What runs in parallel is what touches only one chip's own columns
 //! and journals into its own shard: the physics pass, the memory pass
 //! and, in the closed loop (see [`FleetConfig::autopilot`]), memory
-//! wear, the due-chip snapshot, the probes of granted samples and the
-//! deferrals. What stays serial is what is shared or ordered across
-//! the fleet: every decider call (the engine's counters and the
-//! decider's memo order are observable), the telemetry budget ledger
-//! (grant order decides who is starved), and the regime machine with
-//! its journal pushes, all in the one order an unsharded run takes.
+//! wear, the due-chip snapshot, the probes of granted samples, every
+//! grant whose decisions are already known, and the deferrals. What
+//! stays serial is what is shared or ordered across the fleet: the
+//! telemetry budget ledger (grant order decides who is starved), and
+//! every decider call that can decide a new key — the open loop's
+//! crossings and a closed-loop grant's first touch of a bucket — since
+//! the engine's counters and the decider's memo order are observable;
+//! all in the one order an unsharded run takes.
 //!
 //! A chip whose bucket admits no feasible compression *degrades
 //! gracefully*: it falls back to a conventional guardbanded clock
@@ -40,8 +42,7 @@
 use agequant_check::sync::Arc;
 use agequant_check::{par_map, par_map_mut};
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::Path;
@@ -58,7 +59,7 @@ use crate::decide::Decider;
 use crate::journal::JournalEvent;
 use crate::report::{FleetSummary, ModelCacheSummary};
 use crate::rng::FleetRng;
-use crate::shard::{DueChip, FleetShard};
+use crate::shard::{DueChip, FleetShard, Granted, SampleEpoch};
 use crate::FleetError;
 
 /// Configuration of a fleet run.
@@ -581,7 +582,7 @@ impl FleetSim {
     /// an unsharded run exactly — and last runs the memory pass, per
     /// shard in parallel. A closed-loop fleet steps through
     /// `step_autopilot` instead: parallel per-shard passes around a
-    /// serial ledger-and-decision spine.
+    /// serial spine of the ledger and the grants' first touches.
     ///
     /// # Errors
     ///
@@ -632,117 +633,147 @@ impl FleetSim {
     /// pressure spreads staleness across the class instead of
     /// starving whichever chips happen to sort last.
     ///
-    /// The epoch runs as five passes. The three that touch only one
-    /// chip's own columns run per shard in parallel; the two that
-    /// touch shared state — the ledger, the decider's memos and cache
-    /// counters, the regime machine's journal order — run serially:
+    /// The epoch runs as four passes. Passes 1 and 3 touch only one
+    /// chip's own columns and run per shard in parallel; pass 2, the
+    /// ledger, runs serially; pass 4 keeps only first touches serial:
     ///
-    /// 1. *accrue and snapshot* (per shard): memory wear, then every
-    ///    due chip with the class and sample history it held before
-    ///    this epoch's samples, so priority cannot depend on order;
-    /// 2. *rank and ledger* (serial): a merge of the shards' ranked
-    ///    snapshots into (class, last-sample epoch, id) order, with one
-    ///    budget request per chip in that order;
-    /// 3. *probe* (per shard): each granted chip's ground truth and
-    ///    memory verdict;
-    /// 4. *apply grants* (serial, in grant order): crossings and
-    ///    decisions, memory actions, the regime machine, and the
-    ///    Watch prefetch or Intervene push;
-    /// 5. *apply deferrals* (per shard). An empty bucket defers every
-    ///    later Watch or Calm request and Intervene ranks first, so
-    ///    every grant precedes every deferral and each shard journals
-    ///    exactly the events, in the order, of the one serial loop.
+    /// 1. *accrue and rank* (per shard): memory wear, then every due
+    ///    chip with the class and sample history it held before this
+    ///    epoch's samples, so priority cannot depend on order, ranked
+    ///    by (class, last-sample epoch, index);
+    /// 2. *ledger* (serial): each shard's ranked run splits into
+    ///    segments of one (class, last-sample epoch). Sorting the
+    ///    segments, lower shard first on a tie, places every due chip
+    ///    in the (class, last-sample epoch, id) order of an unsharded
+    ///    run, and the ledger takes one budget request per place in
+    ///    that order. A grant's place is its rank;
+    /// 3. *sample* (per shard): each deferred chip's sample slips to the
+    ///    next epoch, journaled. Each granted chip is probed (ground
+    ///    truth, memory verdict), and its grant — crossing and
+    ///    decision, memory action, regime machine, Watch prefetch or
+    ///    Intervene push — is settled against a view of the decider's
+    ///    decided buckets and committed, or kept when it needs a bucket
+    ///    the view lacks;
+    /// 4. *first touches* (in rounds): the lowest-ranked kept grant on
+    ///    any shard settles through the live decider. Every grant
+    ///    ranked before it was committed from known keys, so it decides
+    ///    its new keys exactly when the serial loop did. Then every
+    ///    shard commits, in parallel, the kept grants the new view
+    ///    settles. Each round decides at least one key.
+    ///
+    /// A grant touches only its own chip and its shard's journal, and
+    /// the merged journal sorts by (epoch, chip), so the order in which
+    /// shards commit never shows; each shard counts the plan hits of
+    /// the grants it settled against a view once per pass or round. A
+    /// decider error on the serial path ends the step with the epoch
+    /// partly applied: grants ranked after the failing one may already
+    /// be committed, on its shard and on the others.
     fn step_autopilot(
         &mut self,
         autopilot: &AutopilotConfig,
         epoch: u64,
         years: f64,
     ) -> Result<(), FleetError> {
-        let bucket_mv = self.config.bucket_mv;
         let memory = self.config.memory.as_ref();
         let cell = memory.map(|memory| memory.cell.calibrated());
+        let at = SampleEpoch {
+            autopilot,
+            epoch,
+            years,
+            bucket_mv: self.config.bucket_mv,
+            memory: memory.zip(cell.as_ref()),
+        };
         let epoch_years = self.config.epoch_years;
-        // Priority classes descend; within a class, the least-recently
-        // sampled chip first, ties in id order.
-        let rank = |&(class, last_epoch, i): &DueChip| (Reverse(class), last_epoch, i);
         // Pass 1. Wear never waits for a sample: stress accrues every
         // epoch; only the *decisions* (re-encode, degrade) wait for a
-        // granted observation. Each shard ranks its own due chips.
+        // granted observation.
         let due = par_map_mut(&mut self.shards, |shard| {
             if let Some(memory) = memory {
                 shard.accrue_memory(memory, epoch_years);
             }
-            let mut due = shard.due_chips(epoch, bucket_mv);
-            due.sort_unstable_by_key(rank);
-            due
+            shard.due_chips(epoch, at.bucket_mv)
         });
 
-        // Pass 2. Merging the shards' ranked runs, lower shard first on
-        // a tie, gives the order of an unsharded run: (class,
-        // last-sample epoch, id).
+        // Pass 2. Sorting the shards' runs of one (class, last-sample
+        // epoch), lower shard first on a tie, gives the order of an
+        // unsharded run: (class, last-sample epoch, id).
+        let mut segments: Vec<(usize, &[DueChip])> = due
+            .iter()
+            .enumerate()
+            .flat_map(|(s, run)| {
+                run.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+                    .map(move |segment| (s, segment))
+            })
+            .collect();
+        segments.sort_unstable_by_key(|&(s, segment)| (Reverse(segment[0].0), segment[0].1, s));
         let mut budget = self.budget.take().expect("autopilot fleets carry a budget");
         autopilot.refill(&mut budget);
-        let mut grants: Vec<(usize, Regime, u64)> = Vec::new();
-        let mut granted: Vec<Vec<usize>> = vec![Vec::new(); due.len()];
+        let mut granted: Vec<Vec<Granted>> = vec![Vec::new(); due.len()];
         let mut deferred: Vec<Vec<(usize, Regime)>> = vec![Vec::new(); due.len()];
-        let head = |s: usize, &&(class, last_epoch, _): &&DueChip| {
-            Reverse((Reverse(class), last_epoch, s))
-        };
-        let mut runs: Vec<_> = due.iter().map(|run| run.iter().peekable()).collect();
-        let mut heads: BinaryHeap<_> = runs
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(s, run)| Some(head(s, run.peek()?)))
-            .collect();
-        while let Some(mut top) = heads.peek_mut() {
-            let Reverse((_, _, s)) = *top;
-            let &(class, _, i) = runs[s].next().expect("a run's head is a chip");
-            match runs[s].peek() {
-                Some(next) => *top = head(s, next),
-                None => drop(PeekMut::pop(top)),
-            }
+        let chips = segments.iter().flat_map(|&(s, segment)| {
+            segment
+                .iter()
+                .map(move |&(class, _, index)| (s, class, index))
+        });
+        for (rank, (s, class, index)) in chips.enumerate() {
             match autopilot.request(&mut budget, class) {
-                Grant::Granted => {
-                    debug_assert!(
-                        deferred.iter().all(Vec::is_empty),
-                        "a grant after a deferral"
-                    );
-                    grants.push((s, class, budget.tokens));
-                    granted[s].push(i);
-                }
-                Grant::Deferred => deferred[s].push((i, class)),
+                Grant::Granted => granted[s].push(Granted {
+                    rank,
+                    index,
+                    class,
+                    tokens_left: budget.tokens,
+                }),
+                Grant::Deferred => deferred[s].push((index, class)),
             }
         }
         self.budget = Some(budget);
 
         // Pass 3.
-        let work: Vec<_> = self.shards.iter().zip(&granted).collect();
-        let probes = par_map(&work, |(shard, chips)| {
-            chips
-                .iter()
-                .map(|&i| shard.probe(i, years, bucket_mv, memory.zip(cell.as_ref())))
-                .collect::<Vec<_>>()
-        });
-
-        // Pass 4.
-        let mut probes: Vec<_> = probes.into_iter().map(Vec::into_iter).collect();
-        for (s, class, tokens_left) in grants {
-            let probe = probes[s].next().expect("one probe per grant");
-            self.shards[s].apply_grant(
-                &self.decider,
-                autopilot,
-                probe,
-                epoch,
-                tokens_left,
-                class,
-            )?;
+        let decided = self.decider.decided_buckets();
+        let mut work: Vec<_> = self
+            .shards
+            .iter_mut()
+            .zip(granted.iter().zip(&deferred))
+            .collect();
+        let (mut undecided, hits): (Vec<_>, Vec<_>) =
+            par_map_mut(&mut work, |(shard, (grants, deferred))| {
+                shard.defer_samples(deferred, epoch);
+                shard.sample_granted(&at, grants, &decided)
+            })
+            .into_iter()
+            .unzip();
+        let decider = &self.decider;
+        for hits in hits {
+            decider.count_plan_hits(hits);
         }
 
-        // Pass 5.
-        let mut work: Vec<_> = self.shards.iter_mut().zip(deferred).collect();
-        par_map_mut(&mut work, |(shard, chips)| {
-            shard.defer_samples(chips, epoch)
-        });
+        // Pass 4.
+        loop {
+            let first_touch = undecided
+                .iter()
+                .enumerate()
+                .filter_map(|(s, probes)| Some((probes.first()?.rank(), s)))
+                .min();
+            let Some((_, s)) = first_touch else {
+                break;
+            };
+            let probe = undecided[s].remove(0);
+            let shard = &mut self.shards[s];
+            let settled = shard
+                .settle(&at, &probe, |bucket| {
+                    decider.decide_bucket(bucket).map(Some)
+                })?
+                .expect("the live decider decides every key");
+            shard.commit(settled, epoch);
+            let decided = decider.decided_buckets();
+            let mut work: Vec<_> = self.shards.iter_mut().zip(&mut undecided).collect();
+            let hits = par_map_mut(&mut work, |(shard, probes)| {
+                shard.commit_decided(&at, probes, &decided)
+            });
+            for hits in hits {
+                decider.count_plan_hits(hits);
+            }
+        }
         Ok(())
     }
 

@@ -8,8 +8,9 @@
 //! crossing the degrade threshold undetected while the message count
 //! collapses.
 
+use agequant_core::CacheStats;
 use agequant_fleet::{
-    journal, AutopilotConfig, EventKind, FleetConfig, FleetSim, FleetState, Regime,
+    journal, AutopilotConfig, EventKind, FleetConfig, FleetSim, FleetState, JournalEvent, Regime,
     CHECKPOINT_FORMAT_AUTOPILOT, MAGIC,
 };
 
@@ -172,6 +173,101 @@ fn autopilot_shard_count_never_changes_an_observable_byte() {
             want_summary,
             "{shards}-shard autopilot summary diverged from the serial run"
         );
+    }
+}
+
+/// What a run shows of its decision order: the buckets each epoch
+/// decided first, the cache counters, the JSONL journal and the frame.
+type Trace = (Vec<Vec<u64>>, Vec<CacheStats>, String, Vec<u8>);
+
+/// Steps `sim` `epochs` times, recording the buckets each epoch decided
+/// first.
+fn step_recording(sim: &mut FleetSim, epochs: u64, record: &mut Vec<Vec<u64>>) {
+    for _ in 0..epochs {
+        let before = sim.buckets_planned().len();
+        sim.step().expect("simulates");
+        record.push(sim.buckets_planned()[before..].to_vec());
+    }
+}
+
+/// Only a grant that first needs an undecided bucket asks the live
+/// decider, in grant order; every other grant settles per shard. A
+/// small, tightly constrained fleet runs two legs. In the first, chips
+/// on several shards first need the same new bucket in one epoch. The
+/// second resumes the fleet with a cold decider and the first quarter
+/// of the ids due at Watch priority, the rest at Intervene, so the
+/// first touches come in grant order, not id order. Each bucket is
+/// still decided once, in one order, with the same counters, journal
+/// and frame at every shard count.
+#[test]
+fn first_touches_on_several_shards_keep_one_decision_order() {
+    const CHIPS: u32 = 96;
+    let mut config = autopilot_config(CHIPS, 5);
+    config.epoch_years = 0.5;
+    config.constraint_factor = 0.45;
+    config.memory = Some(agequant_mem::MemoryConfig::demo());
+    let quarter_of = |chip: u32| chip / (CHIPS / 4);
+    let run = |shards| -> (Trace, Vec<JournalEvent>) {
+        let mut record = Vec::new();
+        let mut sim = FleetSim::new_sharded(config.clone(), shards).expect("valid config");
+        step_recording(&mut sim, 24, &mut record);
+        let first_leg = sim.journal();
+        let mut stats = vec![sim.cache_stats()];
+        let mut state = sim.to_state();
+        for chip in &mut state.chips {
+            let pilot = chip.pilot.as_mut().expect("enrolled");
+            pilot.next_epoch = state.epoch + 1;
+            // A measured chip whose projection stays inside its bucket
+            // requests under its own regime.
+            pilot.rate_mv_per_epoch = 0.0;
+            pilot.regime = if quarter_of(chip.id) == 0 {
+                Regime::Watch
+            } else {
+                Regime::Intervene
+            };
+        }
+        let mut sim = FleetSim::resume_sharded(state, shards).expect("resumes");
+        step_recording(&mut sim, 8, &mut record);
+        stats.push(sim.cache_stats());
+        let mut journal_text = journal::to_jsonl(&first_leg);
+        journal_text.push_str(&journal::to_jsonl(&sim.journal()));
+        let frame = sim.checkpoint_binary().expect("encodes");
+        ((record, stats, journal_text, frame), first_leg)
+    };
+
+    let (want, first_leg) = run(1);
+    // The scenario: a bucket first decided in some epoch of the first
+    // leg is journaled that epoch on chips of at least two quarters of
+    // the ids, which are two of the four shards.
+    let shared = want.0.iter().zip(1..).any(|(buckets, epoch)| {
+        buckets.iter().any(|&bucket| {
+            let mut quarters: Vec<u32> = first_leg
+                .iter()
+                .filter(|event| event.epoch == epoch)
+                .filter(|event| match event.kind {
+                    EventKind::Replanned { bucket: b, .. } | EventKind::Degraded { bucket: b } => {
+                        b == bucket
+                    }
+                    _ => false,
+                })
+                .map(|event| quarter_of(event.chip))
+                .collect();
+            quarters.dedup();
+            quarters.len() >= 2
+        })
+    });
+    assert!(shared, "no new bucket reached two shards in one epoch");
+    assert!(
+        want.0[24].len() >= 2,
+        "the resumed leg's first epoch decides several buckets"
+    );
+
+    for shards in [2usize, 3, 4] {
+        let (got, _) = run(shards);
+        assert_eq!(got.0, want.0, "{shards} shards: record order");
+        assert_eq!(got.1, want.1, "{shards} shards: cache counters");
+        assert_eq!(got.2, want.2, "{shards} shards: journal");
+        assert_eq!(got.3, want.3, "{shards} shards: frame");
     }
 }
 
