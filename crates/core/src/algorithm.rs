@@ -7,13 +7,15 @@
 //! reference implementation. The two are bit-identical — see
 //! `crates/core/tests/equivalence.rs`.
 
+use std::borrow::Cow;
+
 use agequant_check::par_map;
 use agequant_check::sync::Arc;
 
 use agequant_aging::{DegradationModel, DelayDerating, ModelSpec, VthShift};
 use agequant_netlist::mac::MacCircuit;
-use agequant_nn::{accuracy_loss_pct, ExactExecutor, Model, NetArch, SyntheticDataset};
-use agequant_quant::{quantize_model_with, BitWidths, QuantMethod, QuantizedModel};
+use agequant_nn::{Model, NetArch, SyntheticDataset};
+use agequant_quant::{BitWidths, CalibContext, QuantMethod};
 use agequant_sta::{mac_case_on, CaseAssignment, Compression, Padding, Sta};
 use serde::{Deserialize, Serialize};
 
@@ -444,15 +446,27 @@ impl AgingAwareQuantizer {
         self.dataset().split_at(self.config.calib_samples)
     }
 
+    /// The calibration context Algorithm 1's method selection reads
+    /// for `model`: the flow's [`splits`](Self::splits), the FP32
+    /// reference predictions on the evaluation split, the calibration
+    /// statistics, and a memo of clip searches that grows with every
+    /// bit-width pair selected on it. Build it once per network and
+    /// pass it to [`select_method_in`](Self::select_method_in) for each
+    /// plan.
+    #[must_use]
+    pub fn calibrate<'m>(&self, model: Cow<'m, Model>) -> CalibContext<'m> {
+        let (calib, eval) = self.splits();
+        CalibContext::new(model, calib).evaluating(eval)
+    }
+
     /// Algorithm 1 lines 6–9 for an already-planned compression:
     /// quantize `model` with every library method at the plan's bit
     /// widths and select per the threshold policy.
     ///
-    /// The per-method quantize-and-evaluate runs fan out through
-    /// [`par_map`]; the threshold policy is then applied to the
-    /// ordered loss list, reproducing the serial early exit exactly:
-    /// with a threshold set, the reported `method_losses` end at the
-    /// first method meeting it. Bit-identical to
+    /// A one-shot use of [`select_method_in`](Self::select_method_in)
+    /// on a fresh [`calibrate`](Self::calibrate) context; callers that
+    /// select for one network at several plans should keep the
+    /// context instead. Bit-identical to
     /// [`select_method_serial`](Self::select_method_serial).
     ///
     /// # Errors
@@ -464,21 +478,51 @@ impl AgingAwareQuantizer {
         model: &Model,
         plan: CompressionPlan,
     ) -> Result<ModelOutcome, FlowError> {
-        let (calib, eval) = self.splits();
-        let fp32 = model.predict_all(&ExactExecutor, eval.images());
-        let bits = plan.bit_widths();
-        let method_losses = par_map(&QuantMethod::ALL, |&method| {
-            let quantized: QuantizedModel =
-                quantize_model_with(model, method, bits, &calib, &self.config.lapq);
-            let preds = model.predict_all(&quantized, eval.images());
-            (method, accuracy_loss_pct(&fp32, &preds))
-        });
-        Self::resolve_methods(model.name(), plan, method_losses, self.config.threshold_pct)
+        self.select_method_in(&mut self.calibrate(Cow::Borrowed(model)), plan)
     }
 
-    /// The original single-threaded lines 6–9, with the true early
-    /// exit on the threshold. Kept as the equivalence reference for
-    /// [`select_method`](Self::select_method).
+    /// Algorithm 1 lines 6–9 on a calibration context built by this
+    /// flow's [`calibrate`](Self::calibrate), in two parallel phases.
+    /// First, the clip searches the plan's bit widths need and the
+    /// context has not run yet fan out through one [`par_map`], a job
+    /// per layer's activation clip or per chunk of a layer's weight
+    /// channels. Then the per-method quantize-and-evaluate runs fan
+    /// out through [`par_map`] from the cached statistics and clips;
+    /// the threshold policy is applied to the ordered loss list,
+    /// reproducing the serial early exit exactly: with a threshold
+    /// set, the reported `method_losses` end at the first method
+    /// meeting it.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::ThresholdUnmet`] when a threshold is configured and
+    /// no method satisfies it.
+    pub fn select_method_in(
+        &self,
+        context: &mut CalibContext<'_>,
+        plan: CompressionPlan,
+    ) -> Result<ModelOutcome, FlowError> {
+        let bits = plan.bit_widths();
+        context.search_clips(&QuantMethod::ALL, bits);
+        let context = &*context;
+        let method_losses = par_map(&QuantMethod::ALL, |&method| {
+            let quantized = context.quantize(method, bits, &self.config.lapq);
+            (method, context.loss_pct(&quantized))
+        });
+        Self::resolve_methods(
+            context.model().name(),
+            plan,
+            method_losses,
+            self.config.threshold_pct,
+        )
+    }
+
+    /// Lines 6–9 as a serial method loop with the true early exit on
+    /// the threshold: each method's clip searches run inline, in
+    /// library order, on a fresh context that memoizes none of them.
+    /// Kept as the equivalence reference for
+    /// [`select_method`](Self::select_method) and
+    /// [`select_method_in`](Self::select_method_in).
     ///
     /// # Errors
     ///
@@ -489,16 +533,13 @@ impl AgingAwareQuantizer {
         model: &Model,
         plan: CompressionPlan,
     ) -> Result<ModelOutcome, FlowError> {
-        let (calib, eval) = self.splits();
-        let fp32 = model.predict_all(&ExactExecutor, eval.images());
+        let context = self.calibrate(Cow::Borrowed(model));
         let bits = plan.bit_widths();
 
         let mut method_losses = Vec::with_capacity(QuantMethod::ALL.len());
         for method in QuantMethod::ALL {
-            let quantized: QuantizedModel =
-                quantize_model_with(model, method, bits, &calib, &self.config.lapq);
-            let preds = model.predict_all(&quantized, eval.images());
-            let loss = accuracy_loss_pct(&fp32, &preds);
+            let quantized = context.quantize(method, bits, &self.config.lapq);
+            let loss = context.loss_pct(&quantized);
             method_losses.push((method, loss));
             if let Some(threshold) = self.config.threshold_pct {
                 if loss <= threshold {

@@ -1,5 +1,7 @@
 //! Lifetime trajectories: Fig. 4a (delay) and Fig. 4b (accuracy).
 
+use std::borrow::Cow;
+
 use agequant_aging::VthShift;
 use agequant_check::par_map;
 use agequant_nn::NetArch;
@@ -100,11 +102,13 @@ impl AccuracyTrajectory {
     /// Runs Algorithm 1 for every given network at every aged level of
     /// the scenario sweep.
     ///
-    /// The networks fan out through [`par_map`] (each builds and
-    /// evaluates its own model); within one network the levels run in
-    /// order, hitting the engine's plan cache — the `(α, β)` grid is
-    /// scanned once per level, not once per `(network, level)` pair as
-    /// in the seed.
+    /// The networks fan out through [`par_map`] (each builds its own
+    /// model and calibrates it once, see
+    /// [`AgingAwareQuantizer::calibrate`]); within one network the
+    /// levels run in order on that one context, so a bit width seen at
+    /// an earlier level reuses its clip searches, and they hit the
+    /// engine's plan cache — the `(α, β)` grid is scanned once per
+    /// level, not once per `(network, level)` pair as in the seed.
     ///
     /// # Errors
     ///
@@ -112,11 +116,11 @@ impl AccuracyTrajectory {
     pub fn compute(flow: &AgingAwareQuantizer, archs: &[NetArch]) -> Result<Self, FlowError> {
         let shifts = flow.config().scenario.aged_sweep();
         let outcomes = par_map(archs, |&arch| {
-            let model = arch.build(flow.config().model_seed);
+            let mut context = flow.calibrate(Cow::Owned(arch.build(flow.config().model_seed)));
             let mut per_level = Vec::with_capacity(shifts.len());
             for &shift in &shifts {
                 let plan = flow.compression_for(shift)?;
-                per_level.push(flow.select_method(&model, plan)?);
+                per_level.push(flow.select_method_in(&mut context, plan)?);
             }
             Ok((arch.name().to_string(), per_level))
         })

@@ -1,8 +1,10 @@
 //! Section 6.2's surrogate-model validation: does the Euclidean norm
 //! `√(α² + β²)` rank compressions like their measured accuracy loss?
 
-use agequant_nn::{accuracy_loss_pct, ExactExecutor, NetArch, SyntheticDataset};
-use agequant_quant::{quantize_model_with, BitWidths, QuantMethod};
+use std::borrow::Cow;
+
+use agequant_nn::{NetArch, SyntheticDataset};
+use agequant_quant::{BitWidths, CalibContext, QuantMethod};
 use agequant_sta::Compression;
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +43,7 @@ pub fn study(
     let model = arch.build(flow.config().model_seed);
     let eval = SyntheticDataset::generate(eval_samples, flow.config().data_seed ^ 1);
     let calib = SyntheticDataset::generate(flow.config().calib_samples, flow.config().data_seed);
-    let fp32 = model.predict_all(&ExactExecutor, eval.images());
+    let mut context = CalibContext::new(Cow::Owned(model), calib).evaluating(eval);
 
     let mut compressions = Vec::new();
     let mut losses = Vec::new();
@@ -50,10 +52,10 @@ pub fn study(
             continue;
         }
         let bits = BitWidths::for_compression(compression.alpha(), compression.beta());
-        let quantized = quantize_model_with(&model, method, bits, &calib, &flow.config().lapq);
-        let preds = model.predict_all(&quantized, eval.images());
+        context.search_clips(&[method], bits);
+        let quantized = context.quantize(method, bits, &flow.config().lapq);
         compressions.push(compression);
-        losses.push(accuracy_loss_pct(&fp32, &preds));
+        losses.push(context.loss_pct(&quantized));
     }
     assert!(!compressions.is_empty(), "empty compression grid");
 

@@ -3,11 +3,14 @@
 //! retained uncached serial reference paths, at every level of the
 //! paper's aging sweep.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use agequant_aging::{VthShift, AGING_SWEEP_MV};
-use agequant_core::{AgingAwareQuantizer, FlowConfig};
+use agequant_core::{AgingAwareQuantizer, CompressionPlan, FlowConfig};
 use agequant_nn::NetArch;
+use agequant_quant::{LapqRefineConfig, QuantMethod};
+use agequant_sta::Compression;
 
 fn flow() -> AgingAwareQuantizer {
     AgingAwareQuantizer::new(FlowConfig::edge_tpu_like()).expect("valid config")
@@ -17,7 +20,7 @@ fn quick_flow(threshold_pct: Option<f64>) -> AgingAwareQuantizer {
     let mut config = FlowConfig::edge_tpu_like();
     config.eval_samples = 20;
     config.calib_samples = 4;
-    config.lapq = agequant_quant::LapqRefineConfig::off();
+    config.lapq = LapqRefineConfig::off();
     config.threshold_pct = threshold_pct;
     AgingAwareQuantizer::new(config).expect("valid config")
 }
@@ -150,6 +153,84 @@ fn threshold_unmet_error_agrees_between_paths() {
     let parallel = flow.select_method(&model, plan).unwrap_err();
     let serial = flow.select_method_serial(&model, plan).unwrap_err();
     assert_eq!(parallel, serial);
+}
+
+/// The `(α, β)` sequence a warm calibration context selects over, as
+/// bit widths `W(8−β) A(8−α)`: W5A7, then W5A6 (a weight width already
+/// searched with a new activation width), W7A6 (the reverse), W5A7
+/// again (every clip memoized) and W4A4 (both widths new).
+const WARM_SEQUENCE: [(u8, u8); 5] = [(1, 3), (2, 3), (2, 1), (1, 3), (4, 4)];
+
+/// Selects over [`WARM_SEQUENCE`] on one context built by `flow`, and
+/// checks each outcome bit for bit against fresh one-shot
+/// `select_method` and `select_method_serial` calls. Returns the warm
+/// outcomes.
+fn warm_context_agrees_with_one_shot_paths(
+    flow: &AgingAwareQuantizer,
+    arch: NetArch,
+) -> Vec<Result<agequant_core::ModelOutcome, agequant_core::FlowError>> {
+    let model = arch.build(flow.config().model_seed);
+    let mut context = flow.calibrate(Cow::Borrowed(&model));
+    let base = flow
+        .compression_for(VthShift::from_millivolts(10.0))
+        .expect("feasible");
+    WARM_SEQUENCE
+        .iter()
+        .map(|&(alpha, beta)| {
+            let plan = CompressionPlan {
+                compression: Compression::new(alpha, beta),
+                ..base
+            };
+            let warm = flow.select_method_in(&mut context, plan);
+            let fresh = flow.select_method(&model, plan);
+            assert_eq!(warm, fresh, "({alpha}, {beta}): warm vs one-shot");
+            let serial = flow.select_method_serial(&model, plan);
+            assert_eq!(warm, serial, "({alpha}, {beta}): warm vs serial");
+            warm
+        })
+        .collect()
+}
+
+#[test]
+fn warm_context_bit_identical_without_refinement() {
+    let outcomes = warm_context_agrees_with_one_shot_paths(&quick_flow(None), NetArch::AlexNet);
+    for outcome in outcomes {
+        let outcome = outcome.expect("no threshold, so a method is selected");
+        assert_eq!(outcome.method_losses.len(), QuantMethod::ALL.len());
+    }
+}
+
+#[test]
+fn warm_context_bit_identical_with_light_refinement() {
+    let mut config = FlowConfig::edge_tpu_like();
+    config.eval_samples = 20;
+    config.calib_samples = 4;
+    config.lapq = LapqRefineConfig::light();
+    let flow = AgingAwareQuantizer::new(config).expect("valid config");
+    let outcomes = warm_context_agrees_with_one_shot_paths(&flow, NetArch::SqueezeNet11);
+    assert!(outcomes.iter().all(Result::is_ok));
+}
+
+#[test]
+fn warm_context_bit_identical_with_threshold_early_exit() {
+    let outcomes =
+        warm_context_agrees_with_one_shot_paths(&quick_flow(Some(100.0)), NetArch::AlexNet);
+    for outcome in outcomes {
+        let outcome = outcome.expect("every method meets a 100% threshold");
+        assert_eq!(outcome.method_losses.len(), 1, "early exit reproduced");
+    }
+}
+
+#[test]
+fn warm_context_threshold_unmet_agrees() {
+    let outcomes =
+        warm_context_agrees_with_one_shot_paths(&quick_flow(Some(0.0)), NetArch::SqueezeNet11);
+    assert!(
+        outcomes
+            .iter()
+            .any(|o| matches!(o, Err(agequant_core::FlowError::ThresholdUnmet { .. }))),
+        "no bit width of the sequence left the threshold unmet: {outcomes:?}"
+    );
 }
 
 /// The engine's caches are `RwLock`-protected and the engine itself is

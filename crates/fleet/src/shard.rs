@@ -214,6 +214,10 @@ pub(crate) struct FleetShard {
     kinetics: Vec<HotKinetics>,
     bucket: Vec<u64>,
     mode: Vec<ChipMode>,
+    /// The weight truncation β of the chip's `plan` (0 without one),
+    /// written wherever `plan` is, so the memory pass reads one byte
+    /// per chip instead of the plan.
+    beta: Vec<u8>,
     // Cold: touched on materialization and replans only.
     id: Vec<u32>,
     kind: Vec<MissionKind>,
@@ -223,6 +227,11 @@ pub(crate) struct FleetShard {
     mem: Vec<Option<ChipMemState>>,
     pilot: Vec<Option<PilotState>>,
     journal: Vec<JournalEvent>,
+}
+
+/// The weight truncation β a chip on `plan` runs at: 0 without one.
+fn plan_beta(plan: Option<&ChipPlan>) -> u8 {
+    plan.map_or(0, |p| p.plan.compression.beta())
 }
 
 impl FleetShard {
@@ -235,6 +244,7 @@ impl FleetShard {
             kinetics: Vec::with_capacity(n),
             bucket: Vec::with_capacity(n),
             mode: Vec::with_capacity(n),
+            beta: Vec::with_capacity(n),
             id: Vec::with_capacity(n),
             kind: Vec::with_capacity(n),
             model: Vec::with_capacity(n),
@@ -254,6 +264,7 @@ impl FleetShard {
             shard.model.push(chip.model);
             shard.profile.push(chip.profile);
             shard.plan.push(chip.plan);
+            shard.beta.push(plan_beta(chip.plan.as_ref()));
             shard.mem.push(chip.mem);
             shard.pilot.push(chip.pilot);
         }
@@ -425,14 +436,16 @@ impl FleetShard {
     /// decision half so the autopilot can defer memory *actions* to
     /// sample time while the wear itself never pauses.
     pub(crate) fn accrue_memory(&mut self, config: &MemoryConfig, epoch_years: f64) {
+        // The stress duty per β, computed on first use in this pass.
+        let mut duty_by_beta = [None; 1 << u8::BITS];
         for i in 0..self.len() {
             let Some(state) = self.mem[i].as_mut() else {
                 continue;
             };
-            let beta = self.plan[i].map_or(0, |p| p.plan.compression.beta());
-            let asymmetry = config.asymmetry_for_beta(beta);
-            state.stress_active_years +=
-                config.cell.stress_duty(asymmetry) * self.accel[i] * epoch_years;
+            let beta = self.beta[i];
+            let duty = *duty_by_beta[usize::from(beta)]
+                .get_or_insert_with(|| config.cell.stress_duty(config.asymmetry_for_beta(beta)));
+            state.stress_active_years += duty * self.accel[i] * epoch_years;
         }
     }
 
@@ -612,6 +625,7 @@ impl FleetShard {
             Decision::Plan(plan) => {
                 self.mode[i] = ChipMode::Compressed;
                 self.plan[i] = Some(plan);
+                self.beta[i] = plan_beta(Some(&plan));
                 EventKind::Replanned {
                     bucket,
                     alpha: plan.plan.compression.alpha(),
@@ -623,6 +637,7 @@ impl FleetShard {
             Decision::Degrade { .. } => {
                 self.mode[i] = ChipMode::Guardband;
                 self.plan[i] = None;
+                self.beta[i] = plan_beta(None);
                 EventKind::Degraded { bucket }
             }
         };

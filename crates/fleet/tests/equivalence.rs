@@ -6,9 +6,16 @@
 //! must be identical at every shard count, and resume must be
 //! bit-identical no matter which shard counts the two legs used. The
 //! binary checkpoint must also fail loudly, with a typed error naming
-//! the corruption, on every way a frame can rot on disk.
+//! the corruption, on every way a frame can rot on disk. A decider
+//! warm from earlier keys — its decision memo, its method memo and
+//! its calibration context's clip searches — must decide every key as
+//! a fresh decider does.
 
-use agequant_fleet::{journal, CorruptKind, FleetConfig, FleetError, FleetSim, FleetState, MAGIC};
+use agequant_fleet::{
+    journal, CorruptKind, Decider, Decision, FleetConfig, FleetError, FleetSim, FleetState, MAGIC,
+};
+use agequant_nn::NetArch;
+use agequant_quant::BitWidths;
 
 /// Every shard count produces the same state, the same binary frame,
 /// the same merged journal, and the same summary —
@@ -185,4 +192,65 @@ fn format_two_json_fixture_parses_and_matches_a_fresh_run() {
         FleetState::load(v2.as_bytes()),
         Err(FleetError::Malformed(msg)) if msg.contains("agequant-fleet migrate")
     ));
+}
+
+/// `(bucket, constraint factor)` keys in the shape of a cold-decide
+/// run on 1 mV buckets: fresh buckets across the 0–50 mV sweep, and
+/// earlier buckets revisited under new constraints from 0.6–1.2× the
+/// fresh clock.
+const COLD_KEYS: [(u64, f64); 10] = [
+    (26, 1.0),
+    (41, 0.83),
+    (26, 0.7),
+    (50, 1.12),
+    (33, 0.95),
+    (41, 1.2),
+    (12, 0.64),
+    (50, 0.77),
+    (7, 1.05),
+    (33, 0.61),
+];
+
+/// A decider warmed over [`COLD_KEYS`] on each network decides every
+/// key exactly as a fresh decider seeing only that key, and the keys
+/// cover bit-width pairs that share only their weight width or only
+/// their activation width with an earlier pair, so the calibration
+/// context's partly warm clip memo is what is checked.
+#[test]
+fn warm_decider_decides_cold_keys_like_fresh_ones() {
+    for arch in [NetArch::SqueezeNet11, NetArch::AlexNet, NetArch::Vgg13] {
+        let mut config = FleetConfig::new(1, 11);
+        config.network = Some(arch);
+        config.bucket_mv = 1.0;
+        let warm = Decider::from_config(&config).expect("valid config");
+        let mut seen: Vec<BitWidths> = Vec::new();
+        let (mut weights_reused, mut activations_reused) = (false, false);
+        for (bucket, factor) in COLD_KEYS {
+            let decision = warm
+                .decide_bucket_at(bucket, warm.constraint_ps() * factor)
+                .expect("decides");
+            let fresh = Decider::from_config(&config).expect("valid config");
+            let fresh_decision = fresh
+                .decide_bucket_at(bucket, fresh.constraint_ps() * factor)
+                .expect("decides");
+            assert_eq!(
+                decision, fresh_decision,
+                "{arch}: bucket {bucket} at ×{factor} diverged from a fresh decider"
+            );
+            let Decision::Plan(plan) = decision else {
+                panic!("{arch}: bucket {bucket} at ×{factor} degraded");
+            };
+            assert!(plan.method.is_some(), "{arch}: selection is enabled");
+            let bits = plan.plan.bit_widths();
+            if !seen.contains(&bits) {
+                weights_reused |= seen.iter().any(|s| s.weights == bits.weights);
+                activations_reused |= seen.iter().any(|s| s.activations == bits.activations);
+                seen.push(bits);
+            }
+        }
+        assert!(
+            weights_reused && activations_reused,
+            "{arch}: the keys never reuse one width alone: {seen:?}"
+        );
+    }
 }

@@ -24,6 +24,12 @@
 //! the NPU performs. The hardware multiply is hookable ([`MulModel`])
 //! so `agequant-faults` can inject aging bit flips into every product.
 //!
+//! Everything quantization reads of a network that does not depend on
+//! the method — calibration statistics, weight statistics, the FP32
+//! reference — lives in a [`CalibContext`], built once per network,
+//! which also memoizes the clip searches per bit width and runs new
+//! ones in parallel. [`quantize_model_with`] is a one-shot use of one.
+//!
 //! # Example
 //!
 //! ```
@@ -44,6 +50,7 @@
 #![warn(missing_docs)]
 
 mod bits;
+mod calib;
 mod clip;
 mod methods;
 mod model;
@@ -52,6 +59,7 @@ mod report;
 mod stats;
 
 pub use bits::BitWidths;
+pub use calib::CalibContext;
 pub use clip::{aciq_optimal_clip, lp_norm_clip, DistFit};
 pub use methods::QuantMethod;
 pub use model::{

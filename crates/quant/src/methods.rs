@@ -75,19 +75,46 @@ impl QuantMethod {
         matches!(self, QuantMethod::Aciq)
     }
 
+    /// The clip search the method runs, if it clips: LAPQ's empirical
+    /// Lp-norm minimization, or ACIQ's analytic MSE (shared by ACIQ
+    /// with and without bias correction). `M1`/`M2` use the observed
+    /// range and search nothing.
+    pub(crate) fn clip_search(self) -> Option<ClipSearch> {
+        match self {
+            QuantMethod::UniformSymmetric | QuantMethod::MinMax => None,
+            QuantMethod::Lapq => Some(ClipSearch::LpNorm),
+            QuantMethod::Aciq | QuantMethod::AciqNoBias => Some(ClipSearch::Aciq),
+        }
+    }
+
     /// Quantization parameters for a *weight* population at `bits`.
     ///
     /// Weights are treated as zero-centred: all methods use symmetric
     /// ranges, differing in the clip threshold.
     pub fn weight_params(self, stats: &TensorStats, bits: u8) -> QuantParams {
+        let clip = self
+            .clip_search()
+            .map(|search| search.clip(stats, bits, false));
+        self.weight_params_clipped(stats, bits, clip)
+    }
+
+    /// [`weight_params`](Self::weight_params) with the clip search's
+    /// result given: `clip` is `Some` exactly for the clipping methods.
+    pub(crate) fn weight_params_clipped(
+        self,
+        stats: &TensorStats,
+        bits: u8,
+        clip: Option<f32>,
+    ) -> QuantParams {
         let alpha = match self {
             QuantMethod::UniformSymmetric => stats.max_abs(),
             QuantMethod::MinMax => {
                 // Asymmetric: use the true range.
                 return QuantParams::from_range(stats.min, stats.max, bits);
             }
-            QuantMethod::Lapq => lp_norm_clip(stats, bits, false),
-            QuantMethod::Aciq | QuantMethod::AciqNoBias => aciq_optimal_clip(stats, bits, false).0,
+            QuantMethod::Lapq | QuantMethod::Aciq | QuantMethod::AciqNoBias => {
+                clip.expect("a clipping method's searched clip")
+            }
         };
         QuantParams::symmetric(alpha.max(1e-8), bits)
     }
@@ -97,6 +124,21 @@ impl QuantMethod {
     /// two-sided populations quantize `[μ − α, μ + α]` (affine zero
     /// point).
     pub fn activation_params(self, stats: &TensorStats, bits: u8) -> QuantParams {
+        let clip = self
+            .clip_search()
+            .map(|search| search.clip(stats, bits, stats.is_non_negative()));
+        self.activation_params_clipped(stats, bits, clip)
+    }
+
+    /// [`activation_params`](Self::activation_params) with the clip
+    /// search's result given: `clip` is `Some` exactly for the
+    /// clipping methods.
+    pub(crate) fn activation_params_clipped(
+        self,
+        stats: &TensorStats,
+        bits: u8,
+        clip: Option<f32>,
+    ) -> QuantParams {
         let one_sided = stats.is_non_negative();
         match self {
             QuantMethod::UniformSymmetric => {
@@ -107,14 +149,39 @@ impl QuantMethod {
                 }
             }
             QuantMethod::MinMax => QuantParams::from_range(stats.min, stats.max, bits),
-            QuantMethod::Lapq => {
-                let alpha = lp_norm_clip(stats, bits, one_sided);
+            QuantMethod::Lapq | QuantMethod::Aciq | QuantMethod::AciqNoBias => {
+                let alpha = clip.expect("a clipping method's searched clip");
                 clipped_params(stats, alpha, one_sided, bits)
             }
-            QuantMethod::Aciq | QuantMethod::AciqNoBias => {
-                let alpha = aciq_optimal_clip(stats, bits, one_sided).0;
-                clipped_params(stats, alpha, one_sided, bits)
-            }
+        }
+    }
+}
+
+/// A clip-threshold search over one value population.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum ClipSearch {
+    /// LAPQ: [`lp_norm_clip`].
+    LpNorm,
+    /// ACIQ: [`aciq_optimal_clip`].
+    Aciq,
+}
+
+impl ClipSearch {
+    /// The searched clip `α` for `stats` at `bits`.
+    pub(crate) fn clip(self, stats: &TensorStats, bits: u8, one_sided: bool) -> f32 {
+        match self {
+            ClipSearch::LpNorm => lp_norm_clip(stats, bits, one_sided),
+            ClipSearch::Aciq => aciq_optimal_clip(stats, bits, one_sided).0,
+        }
+    }
+
+    /// The relative cost of one search over `stats`: LAPQ's objective
+    /// walks the whole sample at every golden-section step, ACIQ's is
+    /// analytic.
+    pub(crate) fn cost(self, stats: &TensorStats) -> usize {
+        match self {
+            ClipSearch::LpNorm => stats.sample.len(),
+            ClipSearch::Aciq => 1,
         }
     }
 }

@@ -1,12 +1,13 @@
 //! Quantized models and the integer inference executor.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use agequant_nn::{ConvLayer, Executor, LinearLayer, Model, NodeId, SyntheticDataset};
 use agequant_tensor::{im2col, Tensor};
 use serde::{Deserialize, Serialize};
 
-use crate::{BitWidths, QuantMethod, QuantParams, TensorStats};
+use crate::{BitWidths, CalibContext, QuantMethod, QuantParams};
 
 /// The hardware multiply of the MAC unit: `u8 × u8 → u32` product.
 ///
@@ -157,6 +158,9 @@ pub fn quantize_model(
 
 /// Like [`quantize_model`] with explicit LAPQ refinement control.
 ///
+/// A one-shot use of a [`CalibContext`]: calibrates `model` on
+/// `calib`, runs the method's clip searches in parallel, and quantizes.
+///
 /// # Panics
 ///
 /// Panics if `calib` is empty.
@@ -168,90 +172,25 @@ pub fn quantize_model_with(
     calib: &SyntheticDataset,
     refine: &LapqRefineConfig,
 ) -> QuantizedModel {
-    assert!(!calib.is_empty(), "calibration set must be non-empty");
-
-    // 1. Collect per-weighted-node input statistics over the
-    //    calibration set (FP32 trace).
-    let weighted = model.weighted_layers();
-    let mut feeders: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-    for &id in &weighted {
-        feeders
-            .entry(model.nodes()[id.index()].inputs[0])
-            .or_default()
-            .push(id);
-    }
-    let mut input_chunks: BTreeMap<NodeId, Vec<Vec<f32>>> = BTreeMap::new();
-    for image in calib.images() {
-        let _ = model.run_traced(&agequant_nn::ExactExecutor, image, |id, out| {
-            if let Some(consumers) = feeders.get(&id) {
-                for &consumer in consumers {
-                    input_chunks
-                        .entry(consumer)
-                        .or_default()
-                        .push(out.data().to_vec());
-                }
-            }
-        });
-    }
-
-    // 2. Quantize every weighted layer.
-    let mut layers = BTreeMap::new();
-    for &id in &weighted {
-        let chunks = &input_chunks[&id];
-        let refs: Vec<&[f32]> = chunks.iter().map(Vec::as_slice).collect();
-        let act_stats = TensorStats::collect_many(&refs);
-        let act = method.activation_params(&act_stats, bits.activations);
-        let (weights, bias, channels) = match &model.nodes()[id.index()].op {
-            agequant_nn::Op::Conv(ConvLayer { weights, bias, .. }) => {
-                (weights, bias, weights.shape()[0])
-            }
-            agequant_nn::Op::Linear(LinearLayer { weights, bias }) => {
-                (weights, bias, weights.shape()[0])
-            }
-            _ => unreachable!("weighted_layers returns conv/linear only"),
-        };
-        layers.insert(
-            id,
-            quantize_layer(method, bits, act, act_stats.mean, weights, bias, channels),
-        );
-    }
-
-    let mut quantized = QuantizedModel {
-        method,
-        bits,
-        layers,
-    };
-
-    // 3. LAPQ refinement: coordinate descent on activation clips.
-    if method == QuantMethod::Lapq && refine.passes > 0 && refine.images > 0 {
-        quantized.refine_lapq(model, calib, refine);
-    }
-    quantized
+    let mut context = CalibContext::new(Cow::Borrowed(model), calib.clone());
+    context.search_clips(&[method], bits);
+    context.quantize(method, bits, refine)
 }
 
-fn quantize_layer(
+/// Quantizes one weighted layer under the given activation and weight
+/// parameters (`w_params`: one per-tensor entry, or one per channel).
+pub(crate) fn quantize_layer(
     method: QuantMethod,
     bits: BitWidths,
     act: QuantParams,
     act_mean: f32,
     weights: &Tensor,
     bias: &[f32],
-    channels: usize,
+    w_params: Vec<QuantParams>,
 ) -> QuantLayer {
+    let channels = weights.shape()[0];
     let fan = weights.len() / channels;
     let wdata = weights.data();
-
-    let w_params: Vec<QuantParams> = if method.per_channel_weights() {
-        (0..channels)
-            .map(|c| {
-                let stats = TensorStats::collect(&wdata[c * fan..(c + 1) * fan]);
-                method.weight_params(&stats, bits.weights)
-            })
-            .collect()
-    } else {
-        let stats = TensorStats::collect(wdata);
-        vec![method.weight_params(&stats, bits.weights)]
-    };
 
     let mut wq = Vec::with_capacity(weights.len());
     let mut scale_corr = vec![1.0f32; channels];
@@ -317,6 +256,19 @@ fn quantize_layer(
 }
 
 impl QuantizedModel {
+    /// Assembles a quantized model from its layers.
+    pub(crate) fn new(
+        method: QuantMethod,
+        bits: BitWidths,
+        layers: BTreeMap<NodeId, QuantLayer>,
+    ) -> Self {
+        QuantizedModel {
+            method,
+            bits,
+            layers,
+        }
+    }
+
     /// The method that produced this model.
     #[must_use]
     pub fn method(&self) -> QuantMethod {
@@ -478,20 +430,19 @@ impl QuantizedModel {
     }
 
     /// LAPQ coordinate descent: per layer, pick the activation clip
-    /// scale factor minimizing logits MSE against FP32 on a
-    /// calibration subset.
-    fn refine_lapq(&mut self, model: &Model, calib: &SyntheticDataset, cfg: &LapqRefineConfig) {
-        let subset = calib.take(cfg.images.min(calib.len()));
-        let fp32: Vec<Tensor> = subset
-            .images()
-            .iter()
-            .map(|img| model.run(&agequant_nn::ExactExecutor, img))
-            .collect();
+    /// scale factor minimizing logits MSE against FP32 (`reference`,
+    /// the logits of `images`) on a calibration subset.
+    pub(crate) fn refine_lapq(
+        &mut self,
+        model: &Model,
+        images: &[Tensor],
+        reference: &[Tensor],
+        cfg: &LapqRefineConfig,
+    ) {
         let objective = |quant: &QuantizedModel| -> f64 {
-            subset
-                .images()
+            images
                 .iter()
-                .zip(&fp32)
+                .zip(reference)
                 .map(|(img, reference)| {
                     let logits = model.run(quant, img);
                     logits
