@@ -10,7 +10,7 @@
 use std::borrow::Cow;
 
 use agequant_check::par_map;
-use agequant_check::sync::Arc;
+use agequant_check::sync::{Arc, Mutex};
 
 use agequant_aging::{DegradationModel, DelayDerating, ModelSpec, VthShift};
 use agequant_netlist::mac::MacCircuit;
@@ -96,6 +96,12 @@ pub struct AgingAwareQuantizer {
     /// and, for plans, the constraint, which is sound because `mac`
     /// and `config` are immutable after construction.
     engine: Arc<EvalEngine>,
+    /// The calibration context of the last network
+    /// [`select_method`](Self::select_method) was given, reused while
+    /// callers pass an equal model. Shared across clones like
+    /// `engine`, and sound for the same reason: a context depends on
+    /// nothing but the model and the config's splits.
+    calibration: Arc<Mutex<Option<CalibContext<'static>>>>,
 }
 
 impl AgingAwareQuantizer {
@@ -146,6 +152,7 @@ impl AgingAwareQuantizer {
             model_key,
             derating,
             engine,
+            calibration: Arc::default(),
         })
     }
 
@@ -452,7 +459,8 @@ impl AgingAwareQuantizer {
     /// statistics, and a memo of clip searches that grows with every
     /// bit-width pair selected on it. Build it once per network and
     /// pass it to [`select_method_in`](Self::select_method_in) for each
-    /// plan.
+    /// plan; [`select_method`](Self::select_method) keeps one for the
+    /// last model it was given.
     #[must_use]
     pub fn calibrate<'m>(&self, model: Cow<'m, Model>) -> CalibContext<'m> {
         let (calib, eval) = self.splits();
@@ -463,22 +471,41 @@ impl AgingAwareQuantizer {
     /// quantize `model` with every library method at the plan's bit
     /// widths and select per the threshold policy.
     ///
-    /// A one-shot use of [`select_method_in`](Self::select_method_in)
-    /// on a fresh [`calibrate`](Self::calibrate) context; callers that
-    /// select for one network at several plans should keep the
-    /// context instead. Bit-identical to
+    /// Runs [`select_method_in`](Self::select_method_in) on the flow's
+    /// memoized [`calibrate`](Self::calibrate) context: a call with a
+    /// model equal to the previous call's reuses its splits, FP32
+    /// pass, calibration statistics and clip searches; any other model
+    /// replaces the memo with a fresh context. Concurrent callers hold
+    /// the memo's lock only to take or return the context, never while
+    /// selecting: one that finds the memo taken calibrates its own.
+    /// Bit-identical to
     /// [`select_method_serial`](Self::select_method_serial).
     ///
     /// # Errors
     ///
     /// [`FlowError::ThresholdUnmet`] when a threshold is configured and
     /// no method satisfies it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calibration memo's lock was poisoned.
     pub fn select_method(
         &self,
         model: &Model,
         plan: CompressionPlan,
     ) -> Result<ModelOutcome, FlowError> {
-        self.select_method_in(&mut self.calibrate(Cow::Borrowed(model)), plan)
+        let memo = || {
+            self.calibration
+                .lock()
+                .expect("unpoisoned calibration memo")
+        };
+        let mut context = memo()
+            .take()
+            .filter(|context| context.model() == model)
+            .unwrap_or_else(|| self.calibrate(Cow::Owned(model.clone())));
+        let outcome = self.select_method_in(&mut context, plan);
+        *memo() = Some(context);
+        outcome
     }
 
     /// Algorithm 1 lines 6–9 on a calibration context built by this

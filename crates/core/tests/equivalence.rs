@@ -155,6 +155,37 @@ fn threshold_unmet_error_agrees_between_paths() {
     assert_eq!(parallel, serial);
 }
 
+/// The flow's calibration memo holds one network: a call with another
+/// network, or with the same network under other weights, calibrates
+/// afresh instead of reading the memoized statistics and clips.
+#[test]
+fn select_method_memo_follows_the_model_it_is_given() {
+    let flow = quick_flow(None);
+    let seed = flow.config().model_seed;
+    let models = [
+        NetArch::AlexNet.build(seed),
+        NetArch::SqueezeNet11.build(seed),
+        NetArch::AlexNet.build(seed ^ 1),
+        NetArch::AlexNet.build(seed),
+    ];
+    let plan = flow
+        .compression_for(VthShift::from_millivolts(30.0))
+        .expect("feasible");
+    let outcomes: Vec<_> = models
+        .iter()
+        .map(|model| {
+            let memoized = flow.select_method(model, plan).expect("completes");
+            let serial = flow.select_method_serial(model, plan).expect("completes");
+            assert_eq!(memoized, serial, "{}", model.name());
+            memoized
+        })
+        .collect();
+    assert_ne!(
+        outcomes[0].method_losses, outcomes[2].method_losses,
+        "reseeded weights must show in the losses for the check to bite"
+    );
+}
+
 /// The `(α, β)` sequence a warm calibration context selects over, as
 /// bit widths `W(8−β) A(8−α)`: W5A7, then W5A6 (a weight width already
 /// searched with a new activation width), W7A6 (the reverse), W5A7
@@ -162,9 +193,9 @@ fn threshold_unmet_error_agrees_between_paths() {
 const WARM_SEQUENCE: [(u8, u8); 5] = [(1, 3), (2, 3), (2, 1), (1, 3), (4, 4)];
 
 /// Selects over [`WARM_SEQUENCE`] on one context built by `flow`, and
-/// checks each outcome bit for bit against fresh one-shot
-/// `select_method` and `select_method_serial` calls. Returns the warm
-/// outcomes.
+/// checks each outcome bit for bit against `select_method` (on the
+/// flow's own memoized context, warming alongside), a fresh context and
+/// `select_method_serial`. Returns the warm outcomes.
 fn warm_context_agrees_with_one_shot_paths(
     flow: &AgingAwareQuantizer,
     arch: NetArch,
@@ -182,8 +213,10 @@ fn warm_context_agrees_with_one_shot_paths(
                 ..base
             };
             let warm = flow.select_method_in(&mut context, plan);
-            let fresh = flow.select_method(&model, plan);
-            assert_eq!(warm, fresh, "({alpha}, {beta}): warm vs one-shot");
+            let memoized = flow.select_method(&model, plan);
+            assert_eq!(warm, memoized, "({alpha}, {beta}): warm vs memoized");
+            let fresh = flow.select_method_in(&mut flow.calibrate(Cow::Borrowed(&model)), plan);
+            assert_eq!(warm, fresh, "({alpha}, {beta}): warm vs fresh");
             let serial = flow.select_method_serial(&model, plan);
             assert_eq!(warm, serial, "({alpha}, {beta}): warm vs serial");
             warm

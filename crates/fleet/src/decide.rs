@@ -15,11 +15,11 @@
 //! plan hit its skipped engine round trip would have counted
 //! ([`EvalEngine::count_plan_hits`]). A new key asks the engine, which
 //! shares one grid scan across every constraint at a ΔVth, then method
-//! selection, memoized per [`BitWidths`] on the decider's one
-//! calibration context: a new constraint on a known level and bit-width
-//! pair is decided without running STA or evaluating a network, and a
-//! new pair reruns only the clip searches its weight or activation
-//! width has not seen.
+//! selection, memoized per [`BitWidths`] on the flow's calibration
+//! context for the decider's network: a new constraint on a known
+//! level and bit-width pair is decided without running STA or
+//! evaluating a network, and a new pair reruns only the clip searches
+//! its weight or activation width has not seen.
 //!
 //! The closed-loop fleet reads repeats without the lock: before an
 //! epoch's grants and after each first touch, [`Decider::decided_buckets`]
@@ -32,14 +32,14 @@
 //!
 //! [`FleetSim`]: crate::FleetSim
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use agequant_check::sync::{Arc, Mutex};
 
 use agequant_aging::VthShift;
 use agequant_core::{AgingAwareQuantizer, EvalEngine, FlowError};
-use agequant_quant::{BitWidths, CalibContext, QuantMethod};
+use agequant_nn::Model;
+use agequant_quant::{BitWidths, QuantMethod};
 use agequant_sta::GuardbandModel;
 
 use crate::chip::{Chip, ChipPlan};
@@ -96,12 +96,9 @@ struct Memos {
     /// The bucket of each new key of `decisions`, in the order they
     /// were stored (the observable [`Decider::buckets_planned`] view).
     planned_order: Vec<u64>,
-    /// The evaluation network's calibration context, built by the
-    /// first method selection: the model, the flow's splits, the FP32
-    /// reference predictions, the calibration statistics, and the clip
-    /// searches run so far, so a bit-width pair that shares its weight
-    /// or activation width with an earlier one searches only the other.
-    calibration: Option<CalibContext<'static>>,
+    /// Lazily built evaluation network for method selection; the flow
+    /// memoizes its calibration context across selections.
+    model: Option<Model>,
 }
 
 /// The buckets [`Decider::decided_buckets`] covers, which bounds the
@@ -302,9 +299,10 @@ impl Decider {
     /// Method selection for `plan`'s bit widths, memoized decider-side
     /// per [`BitWidths`] (quantizing and evaluating a network costs far
     /// more than an STA scan, and the engine caches only the latter),
-    /// on the decider's one calibration context, so every selection
-    /// after the first reuses the model, the splits, the FP32 pass and
-    /// the clip searches of earlier widths. `None` when selection is
+    /// on the flow's memoized calibration context (see
+    /// [`AgingAwareQuantizer::select_method`]), so every selection
+    /// after the first reuses the splits, the FP32 pass and the clip
+    /// searches of earlier widths. `None` when selection is
     /// disabled or the configured threshold is unmet. Runs under the
     /// memo lock so racing workers never duplicate a model evaluation.
     fn select_method_for(
@@ -319,11 +317,10 @@ impl Decider {
         if let Some(memo) = memos.methods.get(&bits) {
             return Ok(*memo);
         }
-        let context = memos.calibration.get_or_insert_with(|| {
-            self.flow
-                .calibrate(Cow::Owned(arch.build(self.config.flow.model_seed)))
-        });
-        let method = match self.flow.select_method_in(context, plan) {
+        let model = memos
+            .model
+            .get_or_insert_with(|| arch.build(self.config.flow.model_seed));
+        let method = match self.flow.select_method(model, plan) {
             Ok(outcome) => Some((outcome.method, outcome.accuracy_loss_pct)),
             Err(FlowError::ThresholdUnmet { .. }) => None,
             Err(other) => return Err(FleetError::Flow(other)),

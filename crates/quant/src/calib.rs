@@ -242,20 +242,15 @@ impl<'m> CalibContext<'m> {
         let mut layers = BTreeMap::new();
         for (index, layer) in self.layers.iter().enumerate() {
             let act_clip = searched(Operand::Activations, bits.activations, index).map(|c| c[0]);
-            let act = method.activation_params_clipped(&layer.act, bits.activations, act_clip);
-            let w_params = if method.per_channel_weights() {
-                let clips = searched(Operand::Weights, bits.weights, index)
-                    .expect("per-channel methods search their clips");
-                layer
+            let act = method.activation_params(&layer.act, bits.activations, act_clip);
+            let w_params = match searched(Operand::Weights, bits.weights, index) {
+                Some(clips) => layer
                     .channels
                     .iter()
                     .zip(clips.iter())
-                    .map(|(stats, &clip)| {
-                        method.weight_params_clipped(stats, bits.weights, Some(clip))
-                    })
-                    .collect()
-            } else {
-                vec![method.weight_params_clipped(&layer.weights, bits.weights, None)]
+                    .map(|(stats, &clip)| method.weight_params(stats, bits.weights, Some(clip)))
+                    .collect(),
+                None => vec![method.weight_params(&layer.weights, bits.weights, None)],
             };
             let (weights, bias) = weighted_op(&self.model, layer.id);
             layers.insert(

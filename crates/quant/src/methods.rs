@@ -60,13 +60,11 @@ impl QuantMethod {
         }
     }
 
-    /// Whether the method applies per-channel weight scales.
+    /// Whether the method applies per-channel weight scales: exactly
+    /// the methods that search a clip.
     #[must_use]
     pub fn per_channel_weights(self) -> bool {
-        matches!(
-            self,
-            QuantMethod::Lapq | QuantMethod::Aciq | QuantMethod::AciqNoBias
-        )
+        self.clip_search().is_some()
     }
 
     /// Whether the method applies the ACIQ bias correction.
@@ -87,71 +85,50 @@ impl QuantMethod {
         }
     }
 
-    /// Quantization parameters for a *weight* population at `bits`.
+    /// Quantization parameters for a *weight* population at `bits`,
+    /// given the method's searched `clip` (`None` for `M1`/`M2`, which
+    /// search none).
     ///
     /// Weights are treated as zero-centred: all methods use symmetric
     /// ranges, differing in the clip threshold.
-    pub fn weight_params(self, stats: &TensorStats, bits: u8) -> QuantParams {
-        let clip = self
-            .clip_search()
-            .map(|search| search.clip(stats, bits, false));
-        self.weight_params_clipped(stats, bits, clip)
-    }
-
-    /// [`weight_params`](Self::weight_params) with the clip search's
-    /// result given: `clip` is `Some` exactly for the clipping methods.
-    pub(crate) fn weight_params_clipped(
+    pub(crate) fn weight_params(
         self,
         stats: &TensorStats,
         bits: u8,
         clip: Option<f32>,
     ) -> QuantParams {
-        let alpha = match self {
-            QuantMethod::UniformSymmetric => stats.max_abs(),
-            QuantMethod::MinMax => {
-                // Asymmetric: use the true range.
-                return QuantParams::from_range(stats.min, stats.max, bits);
+        let alpha = match (self, clip) {
+            (_, Some(alpha)) => alpha,
+            // Asymmetric: use the true range.
+            (QuantMethod::MinMax, None) => {
+                return QuantParams::from_range(stats.min, stats.max, bits)
             }
-            QuantMethod::Lapq | QuantMethod::Aciq | QuantMethod::AciqNoBias => {
-                clip.expect("a clipping method's searched clip")
-            }
+            (_, None) => stats.max_abs(),
         };
         QuantParams::symmetric(alpha.max(1e-8), bits)
     }
 
     /// Quantization parameters for an *activation* population at
-    /// `bits`. One-sided (post-ReLU) populations quantize `[0, α]`;
+    /// `bits`, given the method's searched `clip` (`None` for
+    /// `M1`/`M2`). One-sided (post-ReLU) populations quantize `[0, α]`;
     /// two-sided populations quantize `[μ − α, μ + α]` (affine zero
     /// point).
-    pub fn activation_params(self, stats: &TensorStats, bits: u8) -> QuantParams {
-        let clip = self
-            .clip_search()
-            .map(|search| search.clip(stats, bits, stats.is_non_negative()));
-        self.activation_params_clipped(stats, bits, clip)
-    }
-
-    /// [`activation_params`](Self::activation_params) with the clip
-    /// search's result given: `clip` is `Some` exactly for the
-    /// clipping methods.
-    pub(crate) fn activation_params_clipped(
+    pub(crate) fn activation_params(
         self,
         stats: &TensorStats,
         bits: u8,
         clip: Option<f32>,
     ) -> QuantParams {
         let one_sided = stats.is_non_negative();
-        match self {
-            QuantMethod::UniformSymmetric => {
+        match (self, clip) {
+            (_, Some(alpha)) => clipped_params(stats, alpha, one_sided, bits),
+            (QuantMethod::MinMax, None) => QuantParams::from_range(stats.min, stats.max, bits),
+            (_, None) => {
                 if one_sided {
                     QuantParams::from_range(0.0, stats.max.max(1e-8), bits)
                 } else {
                     QuantParams::symmetric(stats.max_abs().max(1e-8), bits)
                 }
-            }
-            QuantMethod::MinMax => QuantParams::from_range(stats.min, stats.max, bits),
-            QuantMethod::Lapq | QuantMethod::Aciq | QuantMethod::AciqNoBias => {
-                let alpha = clip.expect("a clipping method's searched clip");
-                clipped_params(stats, alpha, one_sided, bits)
             }
         }
     }
@@ -214,6 +191,12 @@ mod tests {
         TensorStats::collect(&values)
     }
 
+    /// `m`'s weight parameters with its clip searched afresh.
+    fn weight_params(m: QuantMethod, stats: &TensorStats, bits: u8) -> QuantParams {
+        let clip = m.clip_search().map(|s| s.clip(stats, bits, false));
+        m.weight_params(stats, bits, clip)
+    }
+
     #[test]
     fn tags_and_names_are_stable() {
         let tags: Vec<&str> = QuantMethod::ALL.iter().map(|m| m.tag()).collect();
@@ -225,9 +208,9 @@ mod tests {
     fn clipping_methods_ignore_outliers() {
         let stats = heavy_tailed();
         let bits = 4;
-        let full = QuantMethod::UniformSymmetric.weight_params(&stats, bits);
+        let full = weight_params(QuantMethod::UniformSymmetric, &stats, bits);
         for m in [QuantMethod::Aciq, QuantMethod::AciqNoBias] {
-            let clipped = m.weight_params(&stats, bits);
+            let clipped = weight_params(m, &stats, bits);
             assert!(
                 clipped.scale() < full.scale() / 3.0,
                 "{m}: {} vs full-range {}",
@@ -237,7 +220,7 @@ mod tests {
         }
         // LAPQ's Lp objective is deliberately more outlier-respecting
         // than the MSE-analytic ACIQ, but must still clip.
-        let lapq = QuantMethod::Lapq.weight_params(&stats, bits);
+        let lapq = weight_params(QuantMethod::Lapq, &stats, bits);
         assert!(lapq.scale() < full.scale() * 0.95);
     }
 
@@ -253,9 +236,9 @@ mod tests {
                 .sum::<f64>()
                 / stats.sample.len() as f64
         };
-        let minmax = mse(&QuantMethod::MinMax.weight_params(&stats, bits));
-        let aciq = mse(&QuantMethod::Aciq.weight_params(&stats, bits));
-        let lapq = mse(&QuantMethod::Lapq.weight_params(&stats, bits));
+        let minmax = mse(&weight_params(QuantMethod::MinMax, &stats, bits));
+        let aciq = mse(&weight_params(QuantMethod::Aciq, &stats, bits));
+        let lapq = mse(&weight_params(QuantMethod::Lapq, &stats, bits));
         assert!(aciq < minmax, "ACIQ {aciq} vs minmax {minmax}");
         assert!(lapq < minmax, "LAPQ {lapq} vs minmax {minmax}");
     }
@@ -265,7 +248,8 @@ mod tests {
         let positive: Vec<f32> = (0..2000).map(|i| (i % 100) as f32 / 50.0).collect();
         let stats = TensorStats::collect(&positive);
         for m in QuantMethod::ALL {
-            let p = m.activation_params(&stats, 6);
+            let clip = m.clip_search().map(|s| s.clip(&stats, 6, true));
+            let p = m.activation_params(&stats, 6, clip);
             assert_eq!(p.zero_point(), 0, "{m}: post-ReLU zero point should be 0");
         }
     }
