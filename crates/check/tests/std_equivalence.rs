@@ -45,12 +45,12 @@ fn warm_plan_bytes_are_bit_identical_to_the_pre_facade_fixture() {
     let mut out = String::new();
     for mv in [0.0, 7.5, 14.0, 23.0, 42.0, 61.0] {
         let decision = decider
-            .decide_shift(VthShift::from_millivolts(mv))
+            .decide_bucket(decider.bucket_of(VthShift::from_millivolts(mv)))
             .expect("decides");
         let body = serde_json::to_string(&plan_response(&decider, &decision)).expect("serializes");
         // The warm (cached) answer must be byte-identical to the cold one.
         let warm = decider
-            .decide_shift(VthShift::from_millivolts(mv))
+            .decide_bucket(decider.bucket_of(VthShift::from_millivolts(mv)))
             .expect("decides warm");
         assert_eq!(
             serde_json::to_string(&plan_response(&decider, &warm)).expect("serializes"),

@@ -211,17 +211,6 @@ impl Decider {
         Chip::bucket_of(shift, self.config.bucket_mv)
     }
 
-    /// The decision for a raw ΔVth: quantizes onto the bucket grid,
-    /// then decides the bucket. This is the network server's
-    /// `/v1/plan` entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-degradable flow errors.
-    pub fn decide_shift(&self, shift: VthShift) -> Result<Decision, FleetError> {
-        self.decide_bucket(self.bucket_of(shift))
-    }
-
     /// The decision for an aging bucket under the default constraint.
     ///
     /// # Errors

@@ -72,7 +72,6 @@ mod report;
 mod rng;
 mod shard;
 mod sim;
-mod swap;
 mod table;
 
 pub use checkpoint::{crc32, Crc32, MAGIC};
@@ -90,7 +89,6 @@ pub use sim::{
     FleetConfig, FleetSim, FleetState, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_AUTOPILOT,
     CHECKPOINT_FORMAT_MEM,
 };
-pub use swap::{Swap, SwapReader};
 pub use table::DecisionTable;
 
 pub use agequant_autopilot::{

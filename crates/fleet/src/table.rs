@@ -87,8 +87,7 @@ impl DecisionTable {
 
     /// Assembles a table from raw parts without characterizing —
     /// the lint test seam (corrupted.rs builds deliberately wrong
-    /// tables through this) and the deserialization path if tables
-    /// ever persist.
+    /// tables through this).
     ///
     /// # Errors
     ///

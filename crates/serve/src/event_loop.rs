@@ -26,12 +26,11 @@ use std::time::{Duration, Instant};
 
 use agequant_check::sync::Arc;
 use agequant_check::thread;
-use agequant_fleet::SwapReader;
 use agequant_netpoll::{poll, PollFd, POLLIN, POLLOUT};
 
 use crate::http::{self, HttpError, Parsed, Response};
 use crate::metrics::Endpoint;
-use crate::server::{self, PlanSet, Routed, Shared};
+use crate::server::{self, Routed, Shared};
 
 /// Grace past a request's deadline before the loop answers `504`
 /// itself (the worker's own expired-pop answer usually lands first).
@@ -140,7 +139,6 @@ enum FdKind {
 /// Runs the event loop until the drain completes.
 pub(crate) fn run(shared: Arc<Shared>, listener: TcpListener, waker_rx: TcpStream) {
     EventLoop {
-        plans: shared.plans_reader(),
         shared,
         listener: Some(listener),
         waker_rx,
@@ -158,8 +156,6 @@ struct EventLoop {
     shared: Arc<Shared>,
     listener: Option<TcpListener>,
     waker_rx: TcpStream,
-    /// The loop's lock-free view of the prerendered plan tables.
-    plans: SwapReader<PlanSet>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
@@ -362,7 +358,7 @@ impl EventLoop {
                 }
             };
             let started = Instant::now();
-            let (endpoint, routed) = server::route(&self.shared, &request, token, &mut self.plans);
+            let (endpoint, routed) = server::route(&self.shared, &request, token);
             let conn = self.conns[slot].as_mut().expect("live slot");
             match routed {
                 Routed::Ready(response) => {

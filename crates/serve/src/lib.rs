@@ -41,14 +41,15 @@
 //! via `agequant-netpoll`): every connection — parsing, writes, idle
 //! keep-alive sweeping, deadlines, the graceful drain — is owned by
 //! one loop thread, so idle connections cost a file descriptor, not a
-//! thread. `POST /v1/plan` requests inside the served ΔVth range are
-//! answered *on the loop* from an immutable prerendered decision
-//! table (an atomically swapped plan set of one response body per
-//! bucket, rendered from the live decider, whose publish protocol is
-//! model-checked): no lock, no queue, no engine, byte-identical to the
-//! live path. That plan set is the
-//! server's only table; workers answer from it too, and decide live
-//! only what it cannot answer. Everything else goes to a
+//! thread. `POST /v1/plan` requests inside the served ΔVth range for
+//! the configured model are answered *on the loop* from an immutable
+//! prerendered decision table (one response body per bucket, rendered
+//! from a decider at start, before any thread exists): no lock, no
+//! queue, no engine, byte-identical to the live path. That table is
+//! the server's only table; workers answer from it too, and decide
+//! live only what it cannot answer (constraint overrides and other
+//! zoo models, on a per-model decider whose memo serves repeats).
+//! Everything else goes to a
 //! bounded-queue worker pool built on the `agequant-check` facade
 //! over `std`, so the queue/drain protocol is model-checked under
 //! `--features model`: a full queue answers `503 Retry-After`

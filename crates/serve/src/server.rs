@@ -14,15 +14,14 @@
 //! Requests are answered at one of three costs:
 //!
 //! 1. **Table answers** — `POST /v1/plan` (and batches whose every
-//!    element the table answers) for a model whose [`PlanSet`] entry
-//!    covers the bucket, plus out-of-range refusals: answered on the
-//!    event loop as a [`Response`] holding the table's `Arc<str>` body.
-//!    No lock, no queue, no engine; the plan bytes were rendered once
-//!    at table build.
+//!    element the table answers) for the server's configured model,
+//!    plus out-of-range refusals: answered on the event loop as a
+//!    [`Response`] holding the table's `Arc<str>` body. No lock, no
+//!    queue, no engine; the plan bytes were rendered once at start.
 //! 2. **Inline reads** — `/metrics`, summaries: answered on the loop,
 //!    reading atomics or taking a short lock.
-//! 3. **Worker jobs** — telemetry, constraint overrides, models not
-//!    yet materialized: queued on the bounded queue. A full queue
+//! 3. **Worker jobs** — telemetry, constraint overrides, other zoo
+//!    models: queued on the bounded queue. A full queue
 //!    answers `503` with `Retry-After` immediately — the queue bound
 //!    is the server's only buffer, so memory stays flat under
 //!    overload. Each job carries a deadline; the loop's sweep answers
@@ -30,17 +29,15 @@
 //!    job drops it instead of burning engine time on an abandoned
 //!    reply.
 //!
-//! The [`PlanSet`] is the only table plane. One function,
+//! The default model's [`RenderedPlans`] is the only table. It is
+//! built in [`start`] before any thread exists and only read
+//! afterwards, so it needs no lock and no atomic. One function,
 //! `table_answer`, answers a plan request from it, on the loop and on
-//! the workers alike; a worker first materializes the request's model
-//! (which publishes that model's table) and decides live only when the
-//! table still cannot answer. Table bytes and live bytes are the same
-//! bytes: both render through [`plan_response`], so a client cannot
-//! tell which path answered. New per-model tables are published by
-//! atomically swapping the [`PlanSet`] (an `agequant-fleet` [`Swap`],
-//! whose publish/subscribe protocol is model-checked in
-//! `agequant-check`'s `model_table` suite); readers never block on a
-//! publish.
+//! the workers alike; a worker decides live only what the table
+//! cannot answer, on the request model's decider, whose memo serves
+//! repeats. Table bytes and live bytes are the same bytes: both render
+//! through [`plan_response`], so a client cannot tell which path
+//! answered.
 //!
 //! ## Shutdown
 //!
@@ -61,9 +58,7 @@ use agequant_check::thread::{self, JoinHandle};
 
 use agequant_aging::{ModelSpec, VthShift};
 use agequant_core::EvalEngine;
-use agequant_fleet::{
-    AutopilotConfig, Chip, Decider, Decision, FleetConfig, FleetSim, Swap, SwapReader,
-};
+use agequant_fleet::{AutopilotConfig, Chip, Decider, Decision, FleetConfig, FleetError, FleetSim};
 use serde::{Deserialize, Value};
 
 use crate::config::ServeConfig;
@@ -130,9 +125,10 @@ struct Job {
     deadline: Instant,
 }
 
-/// Prerendered `/v1/plan` response bodies for one model: index by
-/// bucket, answer with an `Arc<str>` clone — the wire-speed path.
-pub(crate) struct RenderedPlans {
+/// Prerendered `/v1/plan` response bodies for the server's configured
+/// model: index by bucket, answer with an `Arc<str>` clone — the
+/// wire-speed path.
+struct RenderedPlans {
     /// The bucket grid pitch mapping ΔVth onto body indices, mV.
     bucket_mv: f64,
     bodies: Vec<Arc<str>>,
@@ -142,17 +138,16 @@ impl RenderedPlans {
     /// Decides every bucket of the served range `0..=max_mv` through
     /// `decider` and renders each through [`plan_response`] — the same
     /// function a live decision renders through, which is what makes a
-    /// table answer bit-identical to it. `None` if characterization
-    /// fails.
-    fn build(decider: &Decider, max_mv: f64) -> Option<Self> {
+    /// table answer bit-identical to it.
+    fn build(decider: &Decider, max_mv: f64) -> Result<Self, FleetError> {
         let max_bucket = decider.bucket_of(VthShift::from_millivolts(max_mv + 1e-9));
         let bodies = (0..=max_bucket)
             .map(|bucket| {
-                let decision = decider.decide_bucket(bucket).ok()?;
-                Some(Arc::from(render_value(&plan_response(decider, &decision))))
+                let decision = decider.decide_bucket(bucket)?;
+                Ok(Arc::from(render_value(&plan_response(decider, &decision))))
             })
-            .collect::<Option<_>>()?;
-        Some(RenderedPlans {
+            .collect::<Result<_, FleetError>>()?;
+        Ok(RenderedPlans {
             bucket_mv: decider.config().bucket_mv,
             bodies,
         })
@@ -164,14 +159,6 @@ impl RenderedPlans {
             .ok()
             .and_then(|b| self.bodies.get(b))
     }
-}
-
-/// The immutable set of prerendered plan tables, one per materialized
-/// model, swapped atomically as the model zoo is exercised.
-pub(crate) struct PlanSet {
-    /// The server's configured model key — what `model: null` means.
-    default_key: String,
-    by_model: BTreeMap<String, Arc<RenderedPlans>>,
 }
 
 /// How a routed request is answered.
@@ -197,9 +184,9 @@ pub(crate) struct Shared {
     fleet: Mutex<FleetSim>,
     pub(crate) metrics: Metrics,
     queue: BoundedQueue<Job>,
-    /// The swap cell behind the event loop's and every worker's table
-    /// reader.
-    plans: Swap<PlanSet>,
+    /// The configured model's plan table, written before any thread
+    /// exists and only read afterwards.
+    plans: RenderedPlans,
     /// Finished worker replies, waiting for the event loop.
     pub(crate) completions: Mutex<Vec<Completion>>,
     /// Write end of the event loop's waker socket.
@@ -210,10 +197,6 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn is_draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn plans_reader(&self) -> SwapReader<PlanSet> {
-        SwapReader::new(&self.plans)
     }
 
     /// Interrupts the event loop's current `poll`. Best-effort: a full
@@ -287,9 +270,10 @@ impl ServerHandle {
 /// # Errors
 ///
 /// Returns [`ServeError::Config`] on an invalid configuration,
-/// [`ServeError::Fleet`] if the decision core cannot be built or the
-/// epoch-0 journal cannot be appended, or [`ServeError::Io`] if the
-/// address cannot be bound or the journal cannot be created.
+/// [`ServeError::Fleet`] if the decision core or the default model's
+/// decision table cannot be built or the epoch-0 journal cannot be
+/// appended, or [`ServeError::Io`] if the address cannot be bound or
+/// the journal cannot be created.
 pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHandle, ServeError> {
     config.validate()?;
     let mut fleet_config = fleet_config;
@@ -320,18 +304,8 @@ pub fn start(config: ServeConfig, fleet_config: FleetConfig) -> Result<ServerHan
     // Materialize the default model's decision table on a throwaway
     // decider (its own engine), so the shared engine's cache counters
     // keep reflecting exactly the fleet warm-up plus live traffic.
-    let default_key = decider.flow().model_key().to_string();
-    let mut by_model = BTreeMap::new();
-    let scratch = Decider::from_config(&fleet_config).ok();
-    if let Some(rendered) =
-        scratch.and_then(|scratch| RenderedPlans::build(&scratch, config.max_mv))
-    {
-        by_model.insert(default_key.clone(), Arc::new(rendered));
-    }
-    let plans = Swap::new(Arc::new(PlanSet {
-        default_key,
-        by_model,
-    }));
+    let scratch = Decider::from_config(&fleet_config)?;
+    let plans = RenderedPlans::build(&scratch, config.max_mv)?;
 
     let (waker_rx, waker) = event_loop::waker_pair().map_err(|e| ServeError::Io(e.to_string()))?;
 
@@ -388,11 +362,11 @@ fn initiate_shutdown(shared: &Shared) {
 // ------------------------------------------------------------ plan answers
 
 /// Answers a plan request from the prerendered table, if it can: a
-/// `400` for a ΔVth outside the served range, the model's table body
-/// when its table covers the bucket, otherwise `None` (a constraint
-/// override, or a model whose table is not materialized yet). The
-/// event loop and the workers both answer through this one function.
-fn table_answer(shared: &Shared, set: &PlanSet, request: &PlanRequest) -> Option<Response> {
+/// `400` for a ΔVth outside the served range, the table body for the
+/// configured model, otherwise `None` (a constraint override, or
+/// another zoo model). The event loop and the workers both answer
+/// through this one function.
+fn table_answer(shared: &Shared, request: &PlanRequest) -> Option<Response> {
     let mv = request.delta_vth_mv;
     if !served_range(shared, mv) {
         return Some(Response::json(400, error_body(&range_message(shared, mv))));
@@ -400,8 +374,11 @@ fn table_answer(shared: &Shared, set: &PlanSet, request: &PlanRequest) -> Option
     if request.constraint_factor.is_some() {
         return None;
     }
-    let key = request.model.as_deref().unwrap_or(&set.default_key);
-    let body = set.by_model.get(key)?.body_for(mv)?;
+    let key = shared.decider.flow().model_key();
+    if request.model.as_deref().is_some_and(|model| model != key) {
+        return None;
+    }
+    let body = shared.plans.body_for(mv)?;
     Some(Response::json(200, Arc::clone(body)))
 }
 
@@ -415,29 +392,18 @@ fn count_table_answer(shared: &Shared, answer: &Response) {
 }
 
 /// Answers a plan request on a worker: from the table when it covers
-/// the request — materializing the model first, which publishes its
-/// table — and otherwise live through
-/// [`Decider::decide_bucket_at`], counted as one table miss.
-fn worker_answer(
-    shared: &Shared,
-    plans: &mut SwapReader<PlanSet>,
-    request: &PlanRequest,
-) -> Response {
-    let from_table = |plans: &mut SwapReader<PlanSet>| {
-        let answer = table_answer(shared, plans.get(&shared.plans), request)?;
+/// the request, and otherwise live through
+/// [`Decider::decide_bucket_at`] on the request model's decider,
+/// counted as one table miss.
+fn worker_answer(shared: &Shared, request: &PlanRequest) -> Response {
+    if let Some(answer) = table_answer(shared, request) {
         count_table_answer(shared, &answer);
-        Some(answer)
-    };
-    if let Some(answer) = from_table(plans) {
         return answer;
     }
     let decider = match decider_for(shared, request.model.as_deref()) {
         Ok(decider) => decider,
         Err(refusal) => return refusal,
     };
-    if let Some(answer) = from_table(plans) {
-        return answer;
-    }
     let constraint_ps = match request.constraint_factor {
         None => decider.constraint_ps(),
         Some(factor) if factor > 0.0 && factor.is_finite() => {
@@ -497,12 +463,7 @@ fn range_message(shared: &Shared, mv: f64) -> String {
 /// endpoints answer on the event loop; decision endpoints go through
 /// the bounded queue. A listed path under another method answers
 /// `405`, an unlisted one `404`; both count under [`Endpoint::Other`].
-pub(crate) fn route(
-    shared: &Arc<Shared>,
-    request: &Request,
-    token: Token,
-    plans: &mut SwapReader<PlanSet>,
-) -> (Endpoint, Routed) {
+pub(crate) fn route(shared: &Arc<Shared>, request: &Request, token: Token) -> (Endpoint, Routed) {
     let endpoint = match ROUTES.iter().find(|(_, path, _)| *path == request.target) {
         Some((method, ..)) if *method != request.method => {
             let response = Response::json(405, error_body("method not allowed"));
@@ -566,7 +527,7 @@ pub(crate) fn route(
             Routed::Ready(Response::json(200, "{\"draining\":true}"))
         }
         Endpoint::Plan => match parse_body::<PlanRequest>(&request.body) {
-            Ok(body) => match table_answer(shared, plans.get(&shared.plans), &body) {
+            Ok(body) => match table_answer(shared, &body) {
                 Some(answer) => {
                     count_table_answer(shared, &answer);
                     Routed::Ready(answer)
@@ -586,10 +547,9 @@ pub(crate) fn route(
             Ok(body) => {
                 // All or nothing: one element needing live work sends
                 // the whole batch to the workers unchanged.
-                let set = plans.get(&shared.plans);
                 let answers: Option<Vec<Response>> = body
                     .iter()
-                    .map(|request| table_answer(shared, set, request))
+                    .map(|request| table_answer(shared, request))
                     .collect();
                 match answers {
                     Some(answers) => {
@@ -644,7 +604,6 @@ fn enqueue(shared: &Shared, call: ApiCall, token: Token) -> Routed {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    let mut plans = shared.plans_reader();
     while let Some(job) = shared.queue.pop() {
         if Instant::now() >= job.deadline {
             // The loop's deadline sweep already answered 504 (or is
@@ -662,11 +621,11 @@ fn worker_loop(shared: &Arc<Shared>) {
             thread::sleep(Duration::from_millis(shared.config.debug_delay_ms));
         }
         let response = match job.call {
-            ApiCall::Plan(request) => worker_answer(shared, &mut plans, &request),
+            ApiCall::Plan(request) => worker_answer(shared, &request),
             ApiCall::PlanBatch(requests) => {
                 let answers: Vec<Response> = requests
                     .iter()
-                    .map(|request| worker_answer(shared, &mut plans, request))
+                    .map(|request| worker_answer(shared, request))
                     .collect();
                 batch_response(&answers)
             }
@@ -725,10 +684,9 @@ fn models_response(shared: &Shared) -> Response {
 
 /// Resolves the decider answering a plan request: the server's default
 /// for `model: null`, else a per-model decider built lazily on the
-/// shared engine. Building a model also materializes its decision
-/// table and publishes its prerendered plan bodies, so only a model's
-/// *first* request pays for live characterization. An unknown model
-/// is refused with the answer its request gets.
+/// shared engine and kept, so repeat requests for a model hit its
+/// decider's memo. An unknown model is refused with the answer its
+/// request gets.
 fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, Response> {
     let Some(name) = model else {
         return Ok(Arc::clone(&shared.decider));
@@ -757,32 +715,15 @@ fn decider_for(shared: &Shared, model: Option<&str>) -> Result<Arc<Decider>, Res
         Ok(decider) => Arc::new(decider),
         Err(e) => return Err(Response::json(500, error_body(&e.to_string()))),
     };
-    // Materialize the model's decision table through the decider
-    // itself: the characterizations land in the shared engine's
-    // model-keyed cache counters exactly like live traffic would, and
-    // every later request for this model is a pure table read.
-    let rendered = RenderedPlans::build(&decider, shared.config.max_mv);
     let mut deciders = shared
         .model_deciders
         .write()
         .expect("unpoisoned model deciders");
     // A racing worker may have built it first; keep the stored one so
     // every request for a model shares its memos.
-    let decider = Arc::clone(deciders.entry(name.to_string()).or_insert(decider));
-    // Publish the prerendered bodies while still holding the write
-    // lock: it serializes publishes, so two models materializing at
-    // once cannot drop each other's tables from the set.
-    let current = shared.plans.load();
-    if let Some(rendered) = rendered.filter(|_| !current.by_model.contains_key(name)) {
-        let mut by_model = current.by_model.clone();
-        by_model.insert(name.to_string(), Arc::new(rendered));
-        shared.plans.publish(Arc::new(PlanSet {
-            default_key: current.default_key.clone(),
-            by_model,
-        }));
-    }
-    drop(deciders);
-    Ok(decider)
+    Ok(Arc::clone(
+        deciders.entry(name.to_string()).or_insert(decider),
+    ))
 }
 
 /// `GET /v1/memory/summary`: the hosted fleet's weight-memory rollup

@@ -28,7 +28,7 @@ fn pipelined_burst_is_bit_identical_and_counts_table_hits() {
         .iter()
         .map(|mv| {
             let decision = reference
-                .decide_shift(VthShift::from_millivolts(*mv))
+                .decide_bucket(reference.bucket_of(VthShift::from_millivolts(*mv)))
                 .expect("reference decision");
             serde_json::to_string(&plan_response(&reference, &decision)).expect("render")
         })
@@ -104,10 +104,11 @@ fn table_misses_are_counted_for_live_path_requests() {
 }
 
 /// A batch counts exactly what its single calls count — a table body
-/// is one hit, an out-of-range refusal neither a hit nor a miss, a
-/// constraint override one miss — whether the event loop answers it
-/// from the table or a worker answers it, and the worker's bytes stay
-/// those of the single calls.
+/// (the configured model, named or not) is one hit, an out-of-range
+/// refusal neither a hit nor a miss, a constraint override or another
+/// zoo model one miss — whether the event loop answers it from the
+/// table or a worker answers it, and the worker's bytes stay those of
+/// the single calls.
 #[test]
 fn batch_table_counters_match_single_calls() {
     let handle = start(test_config(8), FleetConfig::new(8, 7)).expect("start");
@@ -125,6 +126,18 @@ fn batch_table_counters_match_single_calls() {
         assert_eq!(status, 200, "{body}");
         let after = counters();
         ((after.0 - before.0, after.1 - before.1), body)
+    };
+    let single_calls = |elements: &[&str]| {
+        let mut expected = String::from("{\"results\":[");
+        for (i, element) in elements.iter().enumerate() {
+            let (status, _, single) = request(&addr, "POST", "/v1/plan", Some(element));
+            if i > 0 {
+                expected.push(',');
+            }
+            expected.push_str(&format!("{{\"status\":{status},\"body\":{single}}}"));
+        }
+        expected.push_str("]}");
+        expected
     };
 
     // All table-answerable: the loop answers, one hit, no miss.
@@ -147,16 +160,38 @@ fn batch_table_counters_match_single_calls() {
         (1.0, 1.0),
         "(hits, misses) for a worker-answered batch"
     );
-    let mut expected = String::from("{\"results\":[");
-    for (i, element) in elements.iter().enumerate() {
-        let (status, _, single) = request(&addr, "POST", "/v1/plan", Some(element));
-        if i > 0 {
-            expected.push(',');
-        }
-        expected.push_str(&format!("{{\"status\":{status},\"body\":{single}}}"));
-    }
-    expected.push_str("]}");
-    assert_eq!(body, expected, "worker batch diverged from single calls");
+    assert_eq!(
+        body,
+        single_calls(&elements),
+        "worker batch diverged from single calls"
+    );
+
+    // Naming the configured model keeps the element a table answer.
+    let (deltas, _) = batch_deltas(&["{\"delta_vth_mv\":10,\"model\":\"nbti\"}"]);
+    assert_eq!(
+        deltas,
+        (1.0, 0.0),
+        "(hits, misses) for a batch naming the default model"
+    );
+
+    // Another zoo model sends the whole batch to a worker, which
+    // decides that element live: one miss, the same bytes as single
+    // calls.
+    let elements = [
+        "{\"delta_vth_mv\":10}",
+        "{\"delta_vth_mv\":10,\"model\":\"hci\"}",
+    ];
+    let (deltas, body) = batch_deltas(&elements);
+    assert_eq!(
+        deltas,
+        (1.0, 1.0),
+        "(hits, misses) for a batch naming another model"
+    );
+    assert_eq!(
+        body,
+        single_calls(&elements),
+        "other-model batch diverged from single calls"
+    );
     handle.shutdown_and_join();
 }
 

@@ -94,7 +94,7 @@ fn concurrent_clients_bit_identical_to_direct_engine() {
         .iter()
         .map(|mv| {
             let decision = reference
-                .decide_shift(VthShift::from_millivolts(*mv))
+                .decide_bucket(reference.bucket_of(VthShift::from_millivolts(*mv)))
                 .expect("reference decision");
             serde_json::to_string(&plan_response(&reference, &decision)).expect("render")
         })

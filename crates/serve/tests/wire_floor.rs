@@ -282,7 +282,7 @@ fn serve_holds_its_wire_floor_and_drains_an_idle_fleet() {
         .iter()
         .map(|mv| {
             let started = Instant::now();
-            cold.decide_shift(VthShift::from_millivolts(*mv))
+            cold.decide_bucket(cold.bucket_of(VthShift::from_millivolts(*mv)))
                 .expect("cold decision");
             elapsed_ns(started)
         })
