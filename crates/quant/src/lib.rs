@@ -18,11 +18,11 @@
 //! the paper's `(α, β)` compression), and the clipping-based methods
 //! use per-channel weight scales.
 //!
-//! Quantized inference runs honestly in the integer domain: `u8 × u8 →
-//! i32` accumulation with affine zero-point correction, bias quantized
-//! to `16 − α − β` bits — exactly the arithmetic the compressed MAC of
-//! the NPU performs. The hardware multiply is hookable ([`MulModel`])
-//! so `agequant-faults` can inject aging bit flips into every product.
+//! Quantized inference runs in the integer domain: each output is one
+//! exact `u64` sum of `u8 × u8` [`MulModel`] products, with affine
+//! zero-point correction and bias at `16 − α − β` bits. The NPU MAC's
+//! 22-bit wrap is not modeled. The multiply is hookable so
+//! `agequant-faults` can inject aging bit flips into every product.
 //!
 //! Everything quantization reads of a network that does not depend on
 //! the method — calibration statistics, weight statistics, the FP32

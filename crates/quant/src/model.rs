@@ -13,8 +13,9 @@ use crate::{BitWidths, CalibContext, QuantMethod, QuantParams};
 ///
 /// Quantized inference funnels every activation×weight product through
 /// this trait, which is where `agequant-faults` injects aging-induced
-/// bit flips. Implementations may use interior mutability (the flows
-/// are single-threaded).
+/// bit flips. A product may use all 32 bits (a fault can set bit 31);
+/// the kernel sums products exactly in `u64`. Implementations may use
+/// interior mutability (the flows are single-threaded).
 pub trait MulModel {
     /// Computes the (possibly faulty) product of two operand codes.
     fn mul(&self, activation: u8, weight: u8) -> u32;
@@ -106,8 +107,10 @@ impl QuantLayer {
 /// Build one with [`quantize_model`]; it implements
 /// [`Executor`], so running the quantized network is
 /// `model.predict_all(&quantized, images)`. Inference is true-integer:
-/// `u8` codes, `i64` accumulation, affine zero-point correction, and a
-/// hookable multiplier ([`QuantizedModel::with_mul`]).
+/// `u8` codes, an exact `u64` sum of [`MulModel`] products, affine
+/// zero-point correction, and a hookable multiplier
+/// ([`QuantizedModel::with_mul`]). The MAC's 22-bit accumulator
+/// wrap is not modeled.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -312,16 +315,16 @@ impl QuantizedModel {
     /// Wraps the model with a custom hardware-multiply implementation
     /// (fault injection). The returned executor borrows both.
     #[must_use]
-    pub fn with_mul<'a>(&'a self, mul: &'a dyn MulModel) -> HookedQuantExecutor<'a> {
+    pub fn with_mul<'a, M: MulModel + ?Sized>(&'a self, mul: &'a M) -> HookedQuantExecutor<'a, M> {
         HookedQuantExecutor { model: self, mul }
     }
 
-    fn conv_impl(
+    fn conv_impl<M: MulModel + ?Sized>(
         &self,
         node: NodeId,
         layer: &ConvLayer,
         input: &Tensor,
-        mul: &dyn MulModel,
+        mul: &M,
     ) -> Tensor {
         let ql = &self.layers[&node];
         let shape = input.shape();
@@ -346,12 +349,12 @@ impl QuantizedModel {
         Tensor::from_vec(&[ql.channels, patches.out_h, patches.out_w], out)
     }
 
-    fn linear_impl(
+    fn linear_impl<M: MulModel + ?Sized>(
         &self,
         node: NodeId,
         _layer: &LinearLayer,
         input: &Tensor,
-        mul: &dyn MulModel,
+        mul: &M,
     ) -> Tensor {
         let ql = &self.layers[&node];
         let qa = ql.act.quantize_slice(input.data());
@@ -361,13 +364,13 @@ impl QuantizedModel {
 
     /// Integer GEMM: quantized weights (rows) × quantized patch matrix
     /// (`rows × cols`), with affine zero-point correction and dequant.
-    fn integer_matmul(
+    fn integer_matmul<M: MulModel + ?Sized>(
         &self,
         ql: &QuantLayer,
         patches: &[u8],
         rows: usize,
         cols: usize,
-        mul: &dyn MulModel,
+        mul: &M,
     ) -> Vec<f32> {
         assert_eq!(rows, ql.fan, "patch rows must equal layer fan-in");
         let za = i64::from(ql.act.zero_point());
@@ -380,35 +383,19 @@ impl QuantizedModel {
             }
         }
 
-        let exact = mul as *const dyn MulModel as *const ();
-        let use_fast = exact == (&ExactMul as *const ExactMul).cast();
-
         let mut out = vec![0.0f32; ql.channels * cols];
+        let mut acc = vec![0u64; cols];
         for ch in 0..ql.channels {
             let params = ql.w_param(ch);
             let zw = i64::from(params.zero_point());
             let wrow = &ql.wq[ch * ql.fan..(ch + 1) * ql.fan];
             let row_sum: i64 = wrow.iter().map(|&q| i64::from(q)).sum();
 
-            let mut acc = vec![0i64; cols];
-            if use_fast {
-                // Tight loop without the dynamic dispatch.
-                for (r, &wc) in wrow.iter().enumerate() {
-                    if wc == 0 {
-                        continue;
-                    }
-                    let wc = i64::from(wc);
-                    let prow = &patches[r * cols..(r + 1) * cols];
-                    for (a, &q) in acc.iter_mut().zip(prow) {
-                        *a += wc * i64::from(q);
-                    }
-                }
-            } else {
-                for (r, &wc) in wrow.iter().enumerate() {
-                    let prow = &patches[r * cols..(r + 1) * cols];
-                    for (a, &q) in acc.iter_mut().zip(prow) {
-                        *a += i64::from(mul.mul(q, wc));
-                    }
+            acc.fill(0);
+            for (r, &wc) in wrow.iter().enumerate() {
+                let prow = &patches[r * cols..(r + 1) * cols];
+                for (a, &q) in acc.iter_mut().zip(prow) {
+                    *a += u64::from(mul.mul(q, wc));
                 }
             }
 
@@ -422,7 +409,8 @@ impl QuantizedModel {
             let fan_zz = ql.fan as i64 * za * zw;
             let orow = &mut out[ch * cols..(ch + 1) * cols];
             for (p, (o, &csum)) in orow.iter_mut().zip(&col_sums).enumerate() {
-                let y_int = acc[p] - zw * csum - za * row_sum + fan_zz;
+                let sum = i64::try_from(acc[p]).expect("fan < 2³¹ sums of u32 fit i64");
+                let y_int = sum - zw * csum - za * row_sum + fan_zz;
                 *o = (deq * y_int as f64 + bias_term) as f32;
             }
         }
@@ -496,13 +484,20 @@ impl Executor for QuantizedModel {
 }
 
 /// A quantized model bound to a custom multiplier (fault injection).
-#[derive(Clone, Copy)]
-pub struct HookedQuantExecutor<'a> {
+pub struct HookedQuantExecutor<'a, M: ?Sized = dyn MulModel> {
     model: &'a QuantizedModel,
-    mul: &'a dyn MulModel,
+    mul: &'a M,
 }
 
-impl std::fmt::Debug for HookedQuantExecutor<'_> {
+impl<M: ?Sized> Clone for HookedQuantExecutor<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M: ?Sized> Copy for HookedQuantExecutor<'_, M> {}
+
+impl<M: ?Sized> std::fmt::Debug for HookedQuantExecutor<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -512,7 +507,7 @@ impl std::fmt::Debug for HookedQuantExecutor<'_> {
     }
 }
 
-impl Executor for HookedQuantExecutor<'_> {
+impl<M: MulModel + ?Sized> Executor for HookedQuantExecutor<'_, M> {
     fn conv2d(&self, node: NodeId, layer: &ConvLayer, input: &Tensor) -> Tensor {
         self.model.conv_impl(node, layer, input, self.mul)
     }
@@ -623,6 +618,31 @@ mod tests {
         for (a, b) in got.data().iter().zip(reference.data()) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
         }
+
+        // Products that use bit 31 are summed exactly: adding 2³¹ to
+        // every product shifts channel c by fan · 2³¹ · s_a · s_w[c]
+        // (times the scale correction).
+        struct Offset(u32);
+        impl MulModel for Offset {
+            fn mul(&self, a: u8, w: u8) -> u32 {
+                u32::from(a) * u32::from(w) + self.0
+            }
+        }
+        let wide = q.with_mul(&Offset(1 << 31)).conv2d(id, conv, &input);
+        let per_channel = got.len() / ql.channels;
+        for (i, (&exact, &shifted)) in got.data().iter().zip(wide.data()).enumerate() {
+            let c = i / per_channel;
+            let shift = ql.fan as f64
+                * 2f64.powi(31)
+                * f64::from(ql.act.scale())
+                * f64::from(ql.w_param(c).scale())
+                * f64::from(ql.scale_corr[c]);
+            let expected = f64::from(exact) + shift;
+            assert!(
+                (f64::from(shifted) - expected).abs() <= 1e-6 * expected.abs(),
+                "channel {c}: {shifted} vs {expected}"
+            );
+        }
     }
 
     #[test]
@@ -680,13 +700,40 @@ mod tests {
         );
         let counter = Counting(Cell::new(0));
         let hooked = q.with_mul(&counter);
-        let exact_preds = model.predict_all(&q, &d.images()[..2]);
-        let hooked_preds = model.predict_all(&hooked, &d.images()[..2]);
+        let images = &d.images()[..4];
+        let exact_preds = model.predict_all(&q, images);
+        let hooked_preds = model.predict_all(&hooked, images);
         assert_eq!(exact_preds, hooked_preds, "identity hook is transparent");
         assert!(
             counter.0.get() > 100_000,
             "hook saw {} multiplies",
             counter.0.get()
+        );
+
+        // A zero-sized hook is used like any other, also through
+        // `dyn MulModel`.
+        struct AllZero;
+        impl MulModel for AllZero {
+            fn mul(&self, _: u8, _: u8) -> u32 {
+                0
+            }
+        }
+        struct Constant(u8);
+        impl MulModel for Constant {
+            fn mul(&self, _: u8, _: u8) -> u32 {
+                u32::from(self.0)
+            }
+        }
+        let dyn_zero: HookedQuantExecutor = q.with_mul(&AllZero);
+        let zero_preds = model.predict_all(&dyn_zero, images);
+        assert_eq!(zero_preds, model.predict_all(&q.with_mul(&AllZero), images));
+        assert_eq!(
+            zero_preds,
+            model.predict_all(&q.with_mul(&Constant(0)), images)
+        );
+        assert_ne!(
+            zero_preds, exact_preds,
+            "all-zero products change predictions"
         );
     }
 

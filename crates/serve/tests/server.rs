@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use agequant_aging::{VthShift, AGING_SWEEP_MV};
+use agequant_aging::{ModelSpec, VthShift, AGING_SWEEP_MV};
 use agequant_fleet::{Decider, FleetConfig};
 use agequant_serve::{
     plan_response, series_label, start, Endpoint, ServeConfig, ServerHandle, ROUTES,
@@ -130,8 +130,9 @@ fn concurrent_clients_bit_identical_to_direct_engine() {
 /// The degradation-model surface: `GET /v1/models` lists the zoo,
 /// `POST /v1/plan` with a `model` field answers from that model's
 /// decider, an explicit `"model": "nbti"` is byte-identical to
-/// omitting the field (the server default), and the per-model cache
-/// split shows up in `/metrics`.
+/// omitting the field (the server default), every other model's
+/// bodies are byte-identical to an independent decider for that model,
+/// and the per-model cache split shows up in `/metrics`.
 #[test]
 fn model_selection_end_to_end() {
     let handle = start(test_config(4), FleetConfig::new(4, 7)).expect("start");
@@ -176,10 +177,27 @@ fn model_selection_end_to_end() {
 
     // Every zoo model answers; HCI shares the 14 nm profile with the
     // default, so its plans agree — what differs is the cache traffic.
+    // Each model's bodies also match an INDEPENDENT decider built for
+    // that model.
+    let reference_for = |name: &str| {
+        let mut config = handle.decider().config().clone();
+        config.flow.model = Some(ModelSpec::by_name(name).expect("zoo model"));
+        Decider::from_config(&config).expect("reference decider")
+    };
+    let render = |reference: &Decider, mv: f64| {
+        let decision = reference
+            .decide_bucket(reference.bucket_of(VthShift::from_millivolts(mv)))
+            .expect("reference decision");
+        serde_json::to_string(&plan_response(reference, &decision)).expect("render")
+    };
+    let (hci, surrogate) = (reference_for("hci"), reference_for("surrogate"));
     for &mv in &AGING_SWEEP_MV {
-        assert_eq!(body_implicit(mv), body_with_model(mv, "hci"));
-        let surrogate = body_with_model(mv, "surrogate");
-        assert!(surrogate.contains("\"bucket\""), "{surrogate}");
+        let hci_body = body_with_model(mv, "hci");
+        assert_eq!(body_implicit(mv), hci_body);
+        assert_eq!(hci_body, render(&hci, mv));
+        let surrogate_body = body_with_model(mv, "surrogate");
+        assert!(surrogate_body.contains("\"bucket\""), "{surrogate_body}");
+        assert_eq!(surrogate_body, render(&surrogate, mv));
     }
 
     // Unknown models are a 400 naming the zoo.
@@ -193,10 +211,12 @@ fn model_selection_end_to_end() {
     assert!(body.contains("nbti, hci, surrogate"), "{body}");
 
     // The per-model split is visible on /metrics, and /v1/models now
-    // reports the lazily built deciders as loaded.
+    // reports the lazily built deciders as loaded. At one ΔVth every
+    // zoo model plans the same bytes, so these series are what shows
+    // that each model's own decider answered.
     let (status, _, metrics) = request(&addr, "GET", "/metrics", None);
     assert_eq!(status, 200);
-    for model in ["nbti", "hci"] {
+    for model in ["nbti", "hci", surrogate.flow().model_key()] {
         assert!(
             metrics.contains(&format!(
                 "agequant_engine_model_cache_events_total{{model=\"{model}\",cache=\"plan\",event=\"miss\"}}"
